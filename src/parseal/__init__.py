@@ -34,7 +34,6 @@ from .selection import (
     best_subset_search,
     greedy_forward_search,
     subset_feasible,
-    worker_count,
 )
 from .stats import (
     BlandAltmanSummary,
@@ -87,6 +86,5 @@ __all__ = [
     "synth_example1",
     "synth_example2",
     "vif",
-    "worker_count",
     "write_csv",
 ]

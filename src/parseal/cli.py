@@ -111,7 +111,8 @@ def _build_parser() -> _Parser:
     )
     fit.add_argument("--baseline", action="store_true", default=None,
                      help="also fit the best subset of the raw columns")
-    fit.add_argument("--seed", type=int, default=None, help="seed echoed into the report (default 0)")
+    fit.add_argument("--seed", type=int, default=None,
+                     help="echoed into the report as config.seed; nothing random uses it (default 0)")
     fit.add_argument("--out-dir", default=None, help="directory for report and CSVs (default '.')")
     fit.add_argument("--stable-output", action="store_true", default=None,
                      help="omit timing so identical runs are byte-identical")
@@ -171,11 +172,11 @@ def _cmd_fit(args) -> int:
         print("parseal fit: error: --input and --response are required", file=sys.stderr)
         return 1
 
-    rule = ImportanceRule(
-        mode=_resolve(args, config, "delta-mode", "relative"),
-        value=_resolve(args, config, "delta", 0.5),
-    )
     try:
+        rule = ImportanceRule(
+            mode=_resolve(args, config, "delta-mode", "relative"),
+            value=_resolve(args, config, "delta", 0.5),
+        )
         cfg = SelectionConfig(
             alpha=_resolve(args, config, "alpha", 2),
             mixture_m=_resolve(args, config, "mixture", 2),
@@ -215,7 +216,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_dict(args) -> int:
     dataset = load_csv(args.input, args.response)
-    z = build_dictionary(dataset, args.alpha, args.mixture)
+    try:
+        z = build_dictionary(dataset, args.alpha, args.mixture)
+    except ValueError as err:
+        print(f"parseal dict: error: {err}", file=sys.stderr)
+        return 1
     text = json.dumps(z.census.to_dict(), indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -3,8 +3,8 @@
 All numeric output is serialized through ``repr`` (shortest round-trip form,
 at most 17 significant digits), so a report parsed back from disk carries
 exactly the values that were computed.  With ``stable=True`` the timing block
-is omitted and two runs with the same inputs, flags, and seed produce
-byte-identical files at any worker count.
+is omitted and two runs with the same inputs and configuration produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .selection import (
     baseline_best_subset,
     best_subset_search,
     greedy_forward_search,
-    worker_count,
 )
 from .stats import bland_altman, format_p_value
 
@@ -181,7 +180,6 @@ def run_pipeline(
     with_baseline: bool = False,
     out_dir=None,
     stable: bool = False,
-    workers: int | None = None,
 ) -> RunReport:
     """Dictionary, screening, subset search, and (optionally) the baseline.
 
@@ -197,12 +195,9 @@ def run_pipeline(
         CSVs for each fitted model into this directory.
     stable : bool
         Omit the timing block so byte-identical runs compare equal.
-    workers : int, optional
-        Scoring thread cap; defaults to the PARSEAL_THREADS env var.
     """
     if cfg is None:
         cfg = SelectionConfig()
-    workers = worker_count(workers)
     timing = {}
 
     start = time.perf_counter()
@@ -218,16 +213,16 @@ def run_pipeline(
     step = time.perf_counter()
     with _stage("selection"):
         if cfg.search_mode == "greedy_forward":
-            model = greedy_forward_search(zr, dataset.response, cfg, workers=workers)
+            model = greedy_forward_search(zr, dataset.response, cfg)
         else:
-            model = best_subset_search(zr, dataset.response, cfg, workers=workers)
+            model = best_subset_search(zr, dataset.response, cfg)
     timing["selection_s"] = time.perf_counter() - step
 
     baseline = None
     if with_baseline:
         step = time.perf_counter()
         with _stage("baseline"):
-            baseline = baseline_best_subset(dataset, dataset.response, cfg, workers=workers)
+            baseline = baseline_best_subset(dataset, dataset.response, cfg)
         timing["baseline_s"] = time.perf_counter() - step
     timing["total_s"] = time.perf_counter() - start
 

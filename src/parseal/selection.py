@@ -6,21 +6,13 @@ deficient or whose largest VIF reaches the cap (infeasibility is a value, not
 an error).  The objective is the adjusted R^2 of the least-squares fit with
 intercept; ties break toward the smaller subset and then the
 lexicographically smaller tuple of canonical term keys, which makes the
-result independent of both term order and scheduling.
-
-Candidate scoring may run on several threads (capped by the
-``PARSEAL_THREADS`` environment variable); results are reduced in the
-deterministic candidate order, so the selected model is byte-for-byte
-identical at any worker count.
+result independent of term order.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +29,7 @@ from .dictionary import (
 from .errors import (
     BudgetExceeded,
     InsufficientData,
+    LengthMismatch,
     NoFeasibleSubset,
     NonFinite,
     PerfectCollinearity,
@@ -46,8 +39,6 @@ from .linalg import DesignMatrix, _solve_from_factorization, qr_factorize
 from .screening import ImportanceRule
 from .stats import ModelFit, ols_fit, vif
 
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -55,6 +46,7 @@ class SelectionConfig:
 
     ``search_budget`` caps the number of candidate fits the exhaustive
     search may attempt; exceeding it is an error, not a silent downgrade.
+    ``seed`` is only echoed into run reports; nothing random consumes it.
     """
 
     alpha: int = 2
@@ -96,19 +88,6 @@ class SelectedModel:
     best_by_size: dict
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Resolve the scoring worker cap (explicit argument beats the env var)."""
-    if workers is not None:
-        return max(1, int(workers))
-    raw = os.environ.get("PARSEAL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def subset_feasible(design: DesignMatrix, vif_cap: float):
     """Rank check first, then the VIF cap.
 
@@ -116,14 +95,12 @@ def subset_feasible(design: DesignMatrix, vif_cap: float):
     deficient or perfectly collinear, else the VIF vector of the predictor
     columns.  Single-predictor designs are always VIF-feasible.
     """
-    fact = qr_factorize(design)
-    feasible, vifs, _ = _feasibility_from(fact, design, vif_cap)
-    return feasible, vifs
+    return _feasibility_from(qr_factorize(design), design, vif_cap)
 
 
 def _feasibility_from(fact, design: DesignMatrix, vif_cap: float):
     if fact.rank < design.k:
-        return False, None, fact
+        return False, None
     predictors = design.predictors()
     if predictors.shape[1] == 1:
         vifs = np.array([1.0])
@@ -131,71 +108,35 @@ def _feasibility_from(fact, design: DesignMatrix, vif_cap: float):
         try:
             vifs = vif(predictors)
         except (PerfectCollinearity, ZeroVariance):
-            return False, None, fact
-    return bool(np.max(vifs) < vif_cap), vifs, fact
+            return False, None
+    return bool(np.max(vifs) < vif_cap), vifs
 
 
 def _check_y(y, n: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
-        raise NonFinite(f"response shape {y.shape} does not match {n} rows")
+        raise LengthMismatch(f"response shape {y.shape} does not match {n} rows")
     if not np.all(np.isfinite(y)):
         raise NonFinite("response contains NaN or infinite entries")
     return y
 
 
 def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float):
+    """Return ``score(combo)``: the adjusted R^2, or None when infeasible."""
     n = columns.shape[0]
 
-    def score_one(combo):
+    def score(combo):
         design = DesignMatrix.with_intercept(columns[:, combo])
         fact = qr_factorize(design)
-        feasible, _, _ = _feasibility_from(fact, design, vif_cap)
+        feasible, _ = _feasibility_from(fact, design, vif_cap)
         if not feasible:
-            return combo, None
+            return None
         solution = _solve_from_factorization(fact, design, y)
         k = len(combo)
         r2 = 1.0 - solution.residual_sum_squares / tss
-        r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-        return combo, r2_adj
+        return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
-    def score_chunk(combos):
-        return [score_one(c) for c in combos]
-
-    return score_chunk
-
-
-def _chunks(iterable, size):
-    iterator = iter(iterable)
-    while True:
-        block = list(itertools.islice(iterator, size))
-        if not block:
-            return
-        yield block
-
-
-def _windowed_map(pool, fn, blocks, window: int):
-    """Like pool.map but with bounded submission; results in input order."""
-    pending = collections.deque()
-    blocks = iter(blocks)
-    for block in itertools.islice(blocks, window):
-        pending.append(pool.submit(fn, block))
-    while pending:
-        result = pending.popleft().result()
-        nxt = next(blocks, None)
-        if nxt is not None:
-            pending.append(pool.submit(fn, nxt))
-        yield result
-
-
-def _scored_candidates(score_chunk, candidates, workers: int):
-    if workers <= 1:
-        for block in _chunks(candidates, _CHUNK):
-            yield from score_chunk(block)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block in _windowed_map(pool, score_chunk, _chunks(candidates, _CHUNK), 2 * workers):
-            yield from block
+    return score
 
 
 def _key_order(zr: Dictionary):
@@ -206,8 +147,7 @@ def _key_order(zr: Dictionary):
 def _finish(zr: Dictionary, y, combo, keys, vif_cap, counters, best_by_size) -> SelectedModel:
     design = DesignMatrix.with_intercept(zr.columns[:, combo])
     fit = ols_fit(design, y, term_labels=[keys[i] for i in combo])
-    feasible, _ = subset_feasible(design, vif_cap)
-    assert feasible, "selected model failed its own feasibility check"
+    assert np.max(fit.vifs) < vif_cap, "selected model failed its own feasibility check"
     return SelectedModel(
         terms=tuple(zr.terms[i] for i in combo),
         fit=fit,
@@ -233,9 +173,7 @@ def _search_bounds(zr: Dictionary, y, cfg: SelectionConfig):
     return y, k_cap, tss
 
 
-def best_subset_search(
-    zr: Dictionary, y, cfg: SelectionConfig, workers: int | None = None
-) -> SelectedModel:
+def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel:
     """Exhaustive feasible-subset search maximizing adjusted R^2.
 
     Subsets are enumerated by size, then lexicographically by canonical term
@@ -255,28 +193,25 @@ def best_subset_search(
     if required > cfg.search_budget:
         raise BudgetExceeded(required, cfg.search_budget)
 
-    score_chunk = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
-    workers = worker_count(workers)
+    score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
 
     evaluated = 0
     feasible = 0
     best_obj = -math.inf
     best_combo = None
     best_by_size = {}
-    candidates = (
-        combo for k in range(1, k_cap + 1) for combo in itertools.combinations(order, k)
-    )
-    for combo, objective in _scored_candidates(score_chunk, candidates, workers):
-        evaluated += 1
-        if objective is None:
-            continue
-        feasible += 1
-        k = len(combo)
-        if k not in best_by_size or objective > best_by_size[k]:
-            best_by_size[k] = objective
-        if objective > best_obj:
-            best_obj = objective
-            best_combo = combo
+    for k in range(1, k_cap + 1):
+        for combo in itertools.combinations(order, k):
+            evaluated += 1
+            objective = score(combo)
+            if objective is None:
+                continue
+            feasible += 1
+            if k not in best_by_size or objective > best_by_size[k]:
+                best_by_size[k] = objective
+            if objective > best_obj:
+                best_obj = objective
+                best_combo = combo
     if best_combo is None:
         raise NoFeasibleSubset(
             f"none of the {evaluated} candidate subsets passed the rank and VIF checks"
@@ -284,9 +219,7 @@ def best_subset_search(
     return _finish(zr, y, best_combo, keys, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
-def greedy_forward_search(
-    zr: Dictionary, y, cfg: SelectionConfig, workers: int | None = None
-) -> SelectedModel:
+def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel:
     """Greedy forward fallback for searches that exceed the exhaustive budget.
 
     Adds the feasible term that most improves adjusted R^2, stopping at the
@@ -295,8 +228,7 @@ def greedy_forward_search(
     """
     y, k_cap, tss = _search_bounds(zr, y, cfg)
     order, keys = _key_order(zr)
-    score_chunk = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
-    workers = worker_count(workers)
+    score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
 
     evaluated = 0
     feasible = 0
@@ -305,17 +237,15 @@ def greedy_forward_search(
     best_by_size = {}
     while len(current) < k_cap:
         in_current = set(current)
-        step_candidates = []
+        step_best = None
+        step_obj = -math.inf
         for i in order:
             if i in in_current:
                 continue
             # Keep the design in canonical-key order as terms are added.
             combo = tuple(sorted(current + (i,), key=lambda j: keys[j]))
-            step_candidates.append(combo)
-        step_best = None
-        step_obj = -math.inf
-        for combo, objective in _scored_candidates(score_chunk, step_candidates, workers):
             evaluated += 1
+            objective = score(combo)
             if objective is None:
                 continue
             feasible += 1
@@ -332,9 +262,7 @@ def greedy_forward_search(
     return _finish(zr, y, current, keys, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
-def baseline_best_subset(
-    dataset, y, cfg: SelectionConfig, workers: int | None = None
-) -> SelectedModel:
+def baseline_best_subset(dataset, y, cfg: SelectionConfig) -> SelectedModel:
     """Best-subset search over the raw input columns (no transformations).
 
     Constant columns are excluded up front, exactly as the dictionary builder
@@ -353,4 +281,4 @@ def baseline_best_subset(
         source_labels=names,
         census=None,
     )
-    return best_subset_search(raw, y, cfg, workers=workers)
+    return best_subset_search(raw, y, cfg)

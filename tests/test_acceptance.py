@@ -357,7 +357,7 @@ def test_a7_dictionary_census_matches_independent_enumeration():
     assert ok
 
 
-def test_a8_reports_are_byte_identical_across_thread_counts(tmp_path):
+def test_a8_reports_are_byte_identical_across_fresh_processes(tmp_path):
     csv_path = tmp_path / "ex1.csv"
     synth = subprocess.run(
         [
@@ -379,9 +379,9 @@ def test_a8_reports_are_byte_identical_across_thread_counts(tmp_path):
     )
     assert synth.returncode == 0, synth.stderr
     digests = []
-    for threads in ("1", "8"):
-        out_dir = tmp_path / f"threads{threads}"
-        env = dict(os.environ, PARSEAL_THREADS=threads)
+    for hash_seed in ("0", "12345"):
+        out_dir = tmp_path / f"hashseed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         run = subprocess.run(
             [
                 sys.executable,
@@ -415,6 +415,6 @@ def test_a8_reports_are_byte_identical_across_thread_counts(tmp_path):
     _verdict(
         "A8",
         ok,
-        f"{len(digests[0])} output files byte-identical for PARSEAL_THREADS=1 vs 8: {identical}",
+        f"{len(digests[0])} output files byte-identical for PYTHONHASHSEED=0 vs 12345: {identical}",
     )
     assert ok

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,14 +124,20 @@ def test_bland_altman_csv_matches_fit(tmp_path):
         assert diff == f - o
 
 
-def test_stable_reports_are_byte_identical(tmp_path):
+def test_stable_reports_are_byte_identical(example1_csv, tmp_path, capsys):
     ds = synth_example1(150, seed=5)
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    run_pipeline(ds, with_baseline=True, out_dir=a, stable=True, workers=1)
-    run_pipeline(ds, with_baseline=True, out_dir=b, stable=True, workers=6)
-    for name in os.listdir(a):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    library_runs = (tmp_path / "a", tmp_path / "b")
+    for out in library_runs:
+        run_pipeline(ds, with_baseline=True, out_dir=out, stable=True)
+    cli_runs = (tmp_path / "cli_a", tmp_path / "cli_b")
+    for out in cli_runs:
+        argv = ["fit", "--input", str(example1_csv), "--response", "y", "--baseline"]
+        assert main(argv + ["--stable-output", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    for a, b in (library_runs, cli_runs):
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_pipeline_errors_carry_their_stage():
@@ -197,6 +205,30 @@ def test_cli_fit_usage_errors(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "varsigma" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--input", "x.csv", "--response", "y", "--delta", "1.5"], "importance value"),
+        (["fit", "--config", "{conf}"], "mode must be"),
+        (["dict", "--input", "{csv}", "--response", "y", "--alpha", "0"], "alpha must be"),
+        (["dict", "--input", "{csv}", "--response", "y", "--mixture", "0"], "mixture must be"),
+    ],
+    ids=["fit-delta", "fit-config-delta-mode", "dict-alpha", "dict-mixture"],
+)
+def test_cli_invalid_values_exit_one_without_traceback(argv, message, example1_csv, tmp_path):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"input = {example1_csv}\nresponse = y\ndelta-mode = sideways\n")
+    argv = [a.format(csv=example1_csv, conf=conf) for a in argv]
+    run = subprocess.run(
+        [sys.executable, "-m", "parseal.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith(f"parseal {argv[0]}: error: ")
+    assert run.stderr.count("\n") == 1
+    assert message in run.stderr
 
 
 def test_cli_unknown_flag_exits_one(example1_csv):
@@ -299,29 +331,3 @@ def test_cli_dict_census(example1_csv, tmp_path, capsys):
         ["dict", "--input", str(example1_csv), "--response", "y", "--out", str(out)]
     ) == 0
     assert json.loads(out.read_text())["candidate_terms"] == 330
-
-
-def test_cli_stable_runs_identical_across_thread_env(example1_csv, tmp_path, monkeypatch, capsys):
-    outputs = []
-    for threads, tag in (("1", "t1"), ("8", "t8")):
-        monkeypatch.setenv("PARSEAL_THREADS", threads)
-        out = tmp_path / tag
-        code = main(
-            [
-                "fit",
-                "--input",
-                str(example1_csv),
-                "--response",
-                "y",
-                "--baseline",
-                "--stable-output",
-                "--out-dir",
-                str(out),
-            ]
-        )
-        assert code == 0
-        outputs.append(out)
-    capsys.readouterr()
-    a, b = outputs
-    for name in sorted(os.listdir(a)):
-        assert (a / name).read_bytes() == (b / name).read_bytes()

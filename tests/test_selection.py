@@ -17,12 +17,12 @@ from parseal import (
     greedy_forward_search,
     subset_feasible,
     synth_example1,
-    worker_count,
 )
 from parseal.dictionary import IDENTITY
 from parseal.errors import (
     BudgetExceeded,
     InsufficientData,
+    LengthMismatch,
     NoFeasibleSubset,
     ZeroVariance,
 )
@@ -181,20 +181,6 @@ def test_search_is_invariant_to_dictionary_column_order():
     np.testing.assert_array_equal(base.fit.coefficients, other.fit.coefficients)
 
 
-def test_search_results_identical_across_worker_counts():
-    rng = philox(408)
-    columns = rng.normal(size=(80, 7))
-    y = columns[:, 1] + 0.5 * columns[:, 5] + rng.normal(size=80)
-    z = raw_dictionary(columns)
-    cfg = SelectionConfig(max_subset_size=4)
-    serial = best_subset_search(z, y, cfg, workers=1)
-    threaded = best_subset_search(z, y, cfg, workers=8)
-    assert serial.terms == threaded.terms
-    assert serial.objective == threaded.objective
-    assert serial.best_by_size == threaded.best_by_size
-    np.testing.assert_array_equal(serial.fit.coefficients, threaded.fit.coefficients)
-
-
 def test_selected_model_bookkeeping_invariants():
     rng = philox(409)
     columns = rng.normal(size=(50, 5))
@@ -246,6 +232,15 @@ def test_search_rejects_degenerate_inputs():
     z = raw_dictionary(philox(413, 1).normal(size=(10, 2)))
     with pytest.raises(ZeroVariance):
         best_subset_search(z, np.full(10, 3.0), SelectionConfig())
+
+
+def test_search_rejects_a_response_of_the_wrong_length():
+    z = raw_dictionary(philox(414).normal(size=(10, 2)))
+    short = philox(414, 1).normal(size=9)
+    with pytest.raises(LengthMismatch):
+        best_subset_search(z, short, SelectionConfig())
+    with pytest.raises(LengthMismatch):
+        greedy_forward_search(z, short, SelectionConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +360,3 @@ def test_selection_config_validation():
         SelectionConfig(search_budget=0)
     with pytest.raises(ValueError):
         SelectionConfig(search_mode="simulated_annealing")
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("PARSEAL_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("PARSEAL_THREADS", "4")
-    assert worker_count() == 4
-    assert worker_count(2) == 2  # explicit argument wins
-    monkeypatch.setenv("PARSEAL_THREADS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.setenv("PARSEAL_THREADS", "0")
-    assert worker_count() == 1
