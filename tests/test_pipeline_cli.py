@@ -124,20 +124,15 @@ def test_bland_altman_csv_matches_fit(tmp_path):
         assert diff == f - o
 
 
-def test_stable_reports_are_byte_identical(example1_csv, tmp_path, capsys):
+def test_stable_reports_are_byte_identical(tmp_path):
     ds = synth_example1(150, seed=5)
-    library_runs = (tmp_path / "a", tmp_path / "b")
-    for out in library_runs:
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    for out in (a, b):
         run_pipeline(ds, with_baseline=True, out_dir=out, stable=True)
-    cli_runs = (tmp_path / "cli_a", tmp_path / "cli_b")
-    for out in cli_runs:
-        argv = ["fit", "--input", str(example1_csv), "--response", "y", "--baseline"]
-        assert main(argv + ["--stable-output", "--out-dir", str(out)]) == 0
-    capsys.readouterr()
-    for a, b in (library_runs, cli_runs):
-        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
-        for name in os.listdir(a):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_pipeline_errors_carry_their_stage():
@@ -331,3 +326,24 @@ def test_cli_dict_census(example1_csv, tmp_path, capsys):
         ["dict", "--input", str(example1_csv), "--response", "y", "--out", str(out)]
     ) == 0
     assert json.loads(out.read_text())["candidate_terms"] == 330
+
+
+def test_cli_stable_runs_identical_across_thread_env(example1_csv, tmp_path, monkeypatch, capsys):
+    # PARSEAL_THREADS is no longer read, but perfbench/run.py still sets it:
+    # a stable fit must not depend on it being set or on its value.
+    outputs = []
+    for threads, tag in ((None, "unset"), ("1", "t1"), ("8", "t8")):
+        if threads is None:
+            monkeypatch.delenv("PARSEAL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PARSEAL_THREADS", threads)
+        out = tmp_path / tag
+        argv = ["fit", "--input", str(example1_csv), "--response", "y", "--baseline"]
+        assert main(argv + ["--stable-output", "--out-dir", str(out)]) == 0
+        outputs.append(out)
+    capsys.readouterr()
+    first = outputs[0]
+    for other in outputs[1:]:
+        assert sorted(os.listdir(first)) == sorted(os.listdir(other))
+        for name in os.listdir(first):
+            assert (first / name).read_bytes() == (other / name).read_bytes()
