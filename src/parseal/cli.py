@@ -207,6 +207,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    problem = None
+    if args.n < 3:
+        problem = f"--n must be >= 3, got {args.n}"
+    elif not 0 <= args.seed < 2**64:
+        problem = f"--seed must lie in [0, 2**64), got {args.seed}"
+    if problem is not None:
+        print(f"parseal synth: error: {problem}", file=sys.stderr)
+        return 1
     maker = synth_example1 if args.example == 1 else synth_example2
     dataset = maker(n=args.n, seed=args.seed)
     write_csv(dataset, args.out)

@@ -7,6 +7,24 @@ an error).  The objective is the adjusted R^2 of the least-squares fit with
 intercept; ties break toward the smaller subset and then the
 lexicographically smaller tuple of canonical term keys, which makes the
 result independent of term order.
+
+Scoring route.  Adjusted R^2 and every VIF of a subset S depend only on the
+correlation matrix C of the standardized screened columns and on c, their
+inner products with the standardized response: R^2 = c_S' C_SS^-1 c_S and
+VIF_j = diag(C_SS^-1)_j.  Both searches standardize once per search, form C
+(by rows, as the subsets need them) and c, and score candidates of one size
+in fixed-size chunks with batched Cholesky factorizations of the k x k
+blocks, so the cost of a candidate does not grow with the row count.
+
+Exact confirmation.  The QR scorer (pivoted QR for rank, ``vif`` for the
+cap, the residual for R^2) stays the referee.  It decides every candidate
+the correlation route cannot certify -- a failed factorization, a largest
+VIF inside the rounding band around the cap, or a rank that the uncentered
+Gram matrix does not certify -- and it rescores every certified candidate
+whose objective lies within the rounding band of the best at its size.  So
+each size's best, the winner, the (size, key-tuple) tie-break and every
+reported number come from QR, and ``candidates_evaluated`` and
+``feasible_candidates`` count exactly what the QR scorer would have counted.
 """
 
 from __future__ import annotations
@@ -35,9 +53,15 @@ from .errors import (
     PerfectCollinearity,
     ZeroVariance,
 )
+from .gram import FEASIBLE, REFEREE, GramScorer
 from .linalg import DesignMatrix, _solve_from_factorization, qr_factorize
 from .screening import ImportanceRule
 from .stats import ModelFit, ols_fit, vif
+
+# Candidates scored per batch.  At the default cap of 8 terms a chunk's
+# (m, k, k) arrays take 128 kB each and its whole working set stays near
+# 1 MB, small next to the dictionary the search runs beside.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -66,8 +90,8 @@ class SelectionConfig:
             raise ValueError(f"mixture_m must be >= 1, got {self.mixture_m}")
         if not (0.0 < self.varsigma < 1.0):
             raise ValueError(f"varsigma must lie in (0, 1), got {self.varsigma}")
-        if not self.vif_cap > 1.0:
-            raise ValueError(f"vif_cap must exceed 1, got {self.vif_cap}")
+        if not (math.isfinite(self.vif_cap) and self.vif_cap > 1.0):
+            raise ValueError(f"vif_cap must be a finite number above 1, got {self.vif_cap}")
         if self.max_subset_size < 1:
             raise ValueError(f"max_subset_size must be >= 1, got {self.max_subset_size}")
         if self.search_budget < 1:
@@ -139,6 +163,52 @@ def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float)
     return score
 
 
+def _best_of_size(gram: GramScorer, score, combos, k: int):
+    """Score same-size candidates given in search order.
+
+    Returns ``(evaluated, feasible, best)`` where ``best`` is ``(combo,
+    objective)`` for the first candidate attaining the largest QR objective,
+    or None when no candidate is feasible.
+    """
+    evaluated = 0
+    feasible = 0
+    decided = []  # (position, combo, QR objective)
+    contenders = []  # (position, combo, objective + bound), certified feasible
+    floor = -math.inf  # largest certified objective minus its bound
+    combos = iter(combos)
+    while chunk := list(itertools.islice(combos, _CHUNK)):
+        status, objective, bound = gram.evaluate(np.array(chunk, dtype=np.intp).reshape(-1, k))
+        for j in np.flatnonzero(status == REFEREE):
+            value = score(chunk[j])
+            if value is not None:
+                feasible += 1
+                decided.append((evaluated + j, chunk[j], value))
+        certified = status == FEASIBLE
+        if certified.any():
+            feasible += int(np.count_nonzero(certified))
+            floor = max(floor, float(np.max((objective - bound)[certified])))
+            upper = objective + bound
+            contenders = [c for c in contenders if c[2] >= floor]
+            contenders.extend(
+                (evaluated + j, chunk[j], upper[j])
+                for j in np.flatnonzero(certified & (upper >= floor))
+            )
+        evaluated += len(chunk)
+    for position, combo, upper in contenders:
+        if upper < floor:
+            continue
+        value = score(combo)
+        if value is None:  # the QR scorer decides every candidate it sees
+            feasible -= 1
+        else:
+            decided.append((position, combo, value))
+    best = None
+    for _, combo, value in sorted(decided):
+        if best is None or value > best[1]:
+            best = (combo, value)
+    return evaluated, feasible, best
+
+
 def _key_order(zr: Dictionary):
     keys = zr.keys()
     return sorted(range(len(zr)), key=lambda i: keys[i]), keys
@@ -194,6 +264,9 @@ def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel
         raise BudgetExceeded(required, cfg.search_budget)
 
     score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
+    gram = GramScorer(zr.columns, y, cfg.vif_cap, tss)
+    if k_cap > 1:
+        gram.cache(order)
 
     evaluated = 0
     feasible = 0
@@ -201,17 +274,14 @@ def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel
     best_combo = None
     best_by_size = {}
     for k in range(1, k_cap + 1):
-        for combo in itertools.combinations(order, k):
-            evaluated += 1
-            objective = score(combo)
-            if objective is None:
-                continue
-            feasible += 1
-            if k not in best_by_size or objective > best_by_size[k]:
-                best_by_size[k] = objective
-            if objective > best_obj:
-                best_obj = objective
-                best_combo = combo
+        count, ok, best = _best_of_size(gram, score, itertools.combinations(order, k), k)
+        evaluated += count
+        feasible += ok
+        if best is None:
+            continue
+        best_by_size[k] = best[1]
+        if best[1] > best_obj:
+            best_combo, best_obj = best
     if best_combo is None:
         raise NoFeasibleSubset(
             f"none of the {evaluated} candidate subsets passed the rank and VIF checks"
@@ -229,6 +299,7 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
     y, k_cap, tss = _search_bounds(zr, y, cfg)
     order, keys = _key_order(zr)
     score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
+    gram = GramScorer(zr.columns, y, cfg.vif_cap, tss)
 
     evaluated = 0
     feasible = 0
@@ -236,27 +307,21 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
     current_obj = -math.inf
     best_by_size = {}
     while len(current) < k_cap:
+        gram.cache(current)
         in_current = set(current)
-        step_best = None
-        step_obj = -math.inf
-        for i in order:
-            if i in in_current:
-                continue
-            # Keep the design in canonical-key order as terms are added.
-            combo = tuple(sorted(current + (i,), key=lambda j: keys[j]))
-            evaluated += 1
-            objective = score(combo)
-            if objective is None:
-                continue
-            feasible += 1
-            if objective > step_obj:
-                step_obj = objective
-                step_best = combo
-        if step_best is None or step_obj <= current_obj:
+        # Keep the design in canonical-key order as terms are added.
+        combos = [
+            tuple(sorted(current + (i,), key=lambda j: keys[j]))
+            for i in order
+            if i not in in_current
+        ]
+        count, ok, best = _best_of_size(gram, score, combos, len(current) + 1)
+        evaluated += count
+        feasible += ok
+        if best is None or best[1] <= current_obj:
             break
-        current = step_best
-        current_obj = step_obj
-        best_by_size[len(current)] = step_obj
+        current, current_obj = best
+        best_by_size[len(current)] = current_obj
     if not current:
         raise NoFeasibleSubset("no single term produced a feasible design")
     return _finish(zr, y, current, keys, cfg.vif_cap, (evaluated, feasible), best_by_size)

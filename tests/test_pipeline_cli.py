@@ -209,13 +209,31 @@ def test_cli_fit_usage_errors(tmp_path, capsys):
         (["fit", "--config", "{conf}"], "mode must be"),
         (["dict", "--input", "{csv}", "--response", "y", "--alpha", "0"], "alpha must be"),
         (["dict", "--input", "{csv}", "--response", "y", "--mixture", "0"], "mixture must be"),
+        (["fit", "--input", "{csv}", "--response", "y", "--vif-cap", "inf"], "vif_cap must be"),
+        (["synth", "--example", "1", "--n", "0", "--out", "{out}"], "--n must be"),
+        (["synth", "--example", "2", "--n", "2", "--out", "{out}"], "--n must be"),
+        (["synth", "--example", "1", "--seed", "-1", "--out", "{out}"], "--seed must"),
+        (["synth", "--example", "1", "--seed", str(2**64), "--out", "{out}"], "--seed must"),
     ],
-    ids=["fit-delta", "fit-config-delta-mode", "dict-alpha", "dict-mixture"],
+    ids=[
+        "fit-delta",
+        "fit-config-delta-mode",
+        "dict-alpha",
+        "dict-mixture",
+        "fit-vif-cap-inf",
+        "synth-n-zero",
+        "synth-n-two",
+        "synth-seed-negative",
+        "synth-seed-too-large",
+    ],
 )
 def test_cli_invalid_values_exit_one_without_traceback(argv, message, example1_csv, tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text(f"input = {example1_csv}\nresponse = y\ndelta-mode = sideways\n")
-    argv = [a.format(csv=example1_csv, conf=conf) for a in argv]
+    out = tmp_path / "out"
+    argv = [a.format(csv=example1_csv, conf=conf, out=out / "synth.csv") for a in argv]
+    if argv[0] == "fit":
+        argv += ["--out-dir", str(out)]
     run = subprocess.run(
         [sys.executable, "-m", "parseal.cli", *argv], capture_output=True, text=True
     )
@@ -224,6 +242,7 @@ def test_cli_invalid_values_exit_one_without_traceback(argv, message, example1_c
     assert run.stderr.startswith(f"parseal {argv[0]}: error: ")
     assert run.stderr.count("\n") == 1
     assert message in run.stderr
+    assert not out.exists()
 
 
 def test_cli_unknown_flag_exits_one(example1_csv):

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parseal import (
+    Dataset,
     Dictionary,
     Factor,
     SelectionConfig,
@@ -17,10 +22,13 @@ from parseal import (
     greedy_forward_search,
     subset_feasible,
     synth_example1,
+    vif,
 )
+from parseal import pipeline, selection
 from parseal.dictionary import IDENTITY
 from parseal.errors import (
     BudgetExceeded,
+    ParsealError,
     InsufficientData,
     LengthMismatch,
     NoFeasibleSubset,
@@ -297,6 +305,198 @@ def test_greedy_stops_when_no_addition_improves():
 
 
 # ---------------------------------------------------------------------------
+# correlation-matrix scoring vs. the QR scorer on every candidate
+# ---------------------------------------------------------------------------
+
+
+def _qr_search(zr, y, cfg, greedy=False):
+    """The search loops with the QR scorer deciding every candidate."""
+    y, k_cap, tss = selection._search_bounds(zr, y, cfg)
+    order, keys = selection._key_order(zr)
+    score = selection._make_scorer(zr.columns, y, cfg.vif_cap, tss)
+    evaluated = feasible = 0
+    best_by_size = {}
+    if greedy:
+        current, current_obj = (), -math.inf
+        while len(current) < k_cap:
+            step_best, step_obj = None, -math.inf
+            for i in order:
+                if i in current:
+                    continue
+                combo = tuple(sorted(current + (i,), key=lambda j: keys[j]))
+                evaluated += 1
+                objective = score(combo)
+                if objective is None:
+                    continue
+                feasible += 1
+                if objective > step_obj:
+                    step_best, step_obj = combo, objective
+            if step_best is None or step_obj <= current_obj:
+                break
+            current, current_obj = step_best, step_obj
+            best_by_size[len(current)] = step_obj
+        if not current:
+            raise NoFeasibleSubset("no single term produced a feasible design")
+        best_combo = current
+    else:
+        best_obj, best_combo = -math.inf, None
+        for k in range(1, k_cap + 1):
+            for combo in itertools.combinations(order, k):
+                evaluated += 1
+                objective = score(combo)
+                if objective is None:
+                    continue
+                feasible += 1
+                if k not in best_by_size or objective > best_by_size[k]:
+                    best_by_size[k] = objective
+                if objective > best_obj:
+                    best_obj, best_combo = objective, combo
+        if best_combo is None:
+            raise NoFeasibleSubset("no candidate passed the rank and VIF checks")
+    return selection._finish(
+        zr, y, best_combo, keys, cfg.vif_cap, (evaluated, feasible), best_by_size
+    )
+
+
+def _qr_best_subset(zr, y, cfg):
+    return _qr_search(zr, y, cfg)
+
+
+def _qr_greedy(zr, y, cfg):
+    return _qr_search(zr, y, cfg, greedy=True)
+
+
+def _outcome(search, z, y, cfg):
+    try:
+        model = search(z, y, cfg)
+    except ParsealError as err:
+        return type(err).__name__
+    return (
+        model.terms,
+        model.objective,
+        model.best_by_size,
+        model.candidates_evaluated,
+        model.feasible_candidates,
+        model.fit.coefficients.tobytes(),
+        model.fit.vifs.tobytes(),
+    )
+
+
+@st.composite
+def _hard_searches(draw):
+    """Small dictionaries with the hazards of the correlation route."""
+    rng = philox(430, draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(2, 6))
+    columns = rng.normal(size=(n, p))
+
+    def pick():
+        return draw(st.integers(0, p - 1))
+
+    if draw(st.booleans()):  # near-duplicate columns
+        i, j = pick(), pick()
+        columns[:, j] = columns[:, i] + 10.0 ** draw(st.integers(-15, -3)) * rng.normal(size=n)
+    if draw(st.booleans()):  # the same column under two keys: exact ties
+        columns[:, pick()] = columns[:, pick()]
+    if draw(st.booleans()):  # an affine copy: tied objectives, different rounding
+        columns[:, pick()] = rng.normal() * columns[:, pick()] + rng.normal()
+    if draw(st.booleans()):  # scales differing by 1e6 or more
+        columns[:, pick()] *= 10.0 ** draw(st.integers(6, 12))
+    if draw(st.booleans()):  # a mean far above the spread
+        columns[:, pick()] += 10.0 ** draw(st.integers(3, 9))
+    if draw(st.integers(0, 3)) == 0:  # a constant column
+        columns[:, pick()] = rng.normal()
+    beta = rng.normal(size=p) * (rng.random(p) < 0.5)
+    noise = draw(st.sampled_from([0.0, 1e-9, 0.1, 1.0]))
+    y = columns @ beta + noise * rng.normal(size=n) + rng.normal()
+    if np.ptp(y) == 0.0:
+        y = y + rng.normal(size=n)
+    at_cap = draw(st.integers(0, 2)) > 0
+    max_size = draw(st.integers(2 if at_cap else 1, min(p, 4)))
+    vif_cap = 10.0
+    if at_cap:  # a candidate's VIF right at the cap
+        size = draw(st.integers(2, max_size))
+        combo = sorted(draw(st.permutations(range(p)))[:size])
+        design = DesignMatrix.with_intercept(columns[:, combo])
+        try:
+            worst = float(np.max(vif(design.predictors())))
+        except ParsealError:
+            worst = 10.0
+        if math.isfinite(worst) and worst > 1.0:
+            vif_cap = draw(st.sampled_from([worst, np.nextafter(worst, np.inf)]))
+    return columns, y, SelectionConfig(max_subset_size=max_size, vif_cap=vif_cap)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_hard_searches())
+def test_correlation_route_matches_the_qr_scorer(case):
+    columns, y, cfg = case
+    z = raw_dictionary(columns)
+    assert _outcome(best_subset_search, z, y, cfg) == _outcome(_qr_best_subset, z, y, cfg)
+    assert _outcome(greedy_forward_search, z, y, cfg) == _outcome(_qr_greedy, z, y, cfg)
+
+
+def _run_files(dataset, cfg):
+    with tempfile.TemporaryDirectory() as out:
+        report = pipeline.run_pipeline(dataset, cfg, with_baseline=True, out_dir=out, stable=True)
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+    return report.to_json(), files
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    varsigma=st.sampled_from([0.95, 0.99, 0.999, 0.999999]),
+    search_mode=st.sampled_from(["exhaustive", "greedy_forward"]),
+)
+def test_stable_report_bytes_match_the_qr_scorer(seed, varsigma, search_mode):
+    """A loose varsigma lets nearly collinear terms through screening."""
+    rng = philox(431, seed)
+    n = 40
+    x = 0.5 + 9.5 * rng.random((n, 2))
+    y = 3.0 * x[:, 0] * x[:, 1] + 20.0 / x[:, 1] + rng.normal(size=n) * 10.0 ** rng.integers(-8, 1)
+    dataset = Dataset(("x1", "x2"), x, "y", y)
+    cfg = SelectionConfig(alpha=1, varsigma=varsigma, max_subset_size=2, search_mode=search_mode)
+    fast = _run_files(dataset, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "best_subset_search", _qr_best_subset)
+        mp.setattr(pipeline, "greedy_forward_search", _qr_greedy)
+        mp.setattr(selection, "best_subset_search", _qr_best_subset)
+        exact = _run_files(dataset, cfg)
+    assert fast == exact
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    rng = philox(432)
+    columns = rng.normal(size=(80, 14)) @ (np.eye(14) + 0.2 * rng.normal(size=(14, 14)))
+    y = columns[:, :5] @ rng.normal(size=5) + rng.normal(size=80)
+    z = raw_dictionary(columns)
+    cfg = SelectionConfig(max_subset_size=4)
+    qr_calls = []
+    real_qr = selection.qr_factorize
+
+    def counted(design):
+        qr_calls[-1] += 1
+        return real_qr(design)
+
+    monkeypatch.setattr(selection, "qr_factorize", counted)
+    results = []
+    for chunk in (selection._CHUNK, 7):
+        monkeypatch.setattr(selection, "_CHUNK", chunk)
+        qr_calls.append(0)
+        results.append(
+            (_outcome(best_subset_search, z, y, cfg), _outcome(greedy_forward_search, z, y, cfg))
+        )
+    assert results[0] == results[1]
+    assert results[0][0][3] == 14 + 91 + 364 + 1001
+    # the correlation route decides nearly every candidate without a QR
+    assert qr_calls[0] == qr_calls[1] < 0.05 * results[0][0][3]
+
+
+# ---------------------------------------------------------------------------
 # baseline over raw columns
 # ---------------------------------------------------------------------------
 
@@ -354,6 +554,9 @@ def test_selection_config_validation():
         SelectionConfig(varsigma=1.0)
     with pytest.raises(ValueError):
         SelectionConfig(vif_cap=1.0)
+    for cap in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="vif_cap must be a finite number"):
+            SelectionConfig(vif_cap=cap)
     with pytest.raises(ValueError):
         SelectionConfig(max_subset_size=0)
     with pytest.raises(ValueError):
