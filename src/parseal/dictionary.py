@@ -74,22 +74,31 @@ class TermExpr:
             raise ValueError(f"duplicate variable indices in term: {indices}")
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _of_sorted(cls, factors: tuple) -> "TermExpr":
+        """A term from factors already sorted by distinct variable index.
+
+        The dictionary builder enumerates factors that way, so it skips the
+        sort and the checks ``__post_init__`` would repeat for every term.
+        """
+        term = object.__new__(cls)
+        object.__setattr__(term, "factors", factors)
+        return term
+
     @property
     def variables(self) -> tuple:
         return tuple(f.variable_index for f in self.factors)
 
 
+def _factor_key(f: Factor) -> str:
+    if f.transform == LOG:
+        return f"log(v{f.variable_index})^{f.exponent.numerator}"
+    return f"v{f.variable_index}^{f.exponent.numerator}/{f.exponent.denominator}"
+
+
 def canonical_key(term: TermExpr) -> str:
     """Injective, sortable string form: ``v0^1/2*log(v2)^-1`` style."""
-    parts = []
-    for f in term.factors:
-        if f.transform == LOG:
-            parts.append(f"log(v{f.variable_index})^{f.exponent.numerator}")
-        else:
-            parts.append(
-                f"v{f.variable_index}^{f.exponent.numerator}/{f.exponent.denominator}"
-            )
-    return "*".join(parts)
+    return "*".join(_factor_key(f) for f in term.factors)
 
 
 def _format_factor(f: Factor, name: str) -> str:
@@ -287,9 +296,35 @@ def evaluate_term(term: TermExpr, dataset) -> np.ndarray:
     return out
 
 
-def _is_constant(values: np.ndarray) -> bool:
-    sd = float(values.std())
-    return sd <= _CONSTANT_SD_REL * abs(float(values.mean())) + 1e-300
+def _is_constant(values: np.ndarray):
+    """Whether a vector -- or each row of a 2-d block -- is numerically constant.
+
+    Row sums run along the contiguous axis, in the order a 1-d vector's do,
+    so a row's verdict is the one the vector alone would get.
+    """
+    sd = values.std(axis=-1)
+    return sd <= _CONSTANT_SD_REL * np.abs(values.mean(axis=-1)) + 1e-300
+
+
+def _term_blocks(factor_rows, combos, rank: np.ndarray):
+    """(key ranks, term values) of every candidate term, in small blocks.
+
+    One block holds the terms of one variable combination that share its
+    leading factor, as a (terms, n) array in enumeration order; ``rank``
+    maps an enumeration index to the term's place in key order.  Each
+    product is formed left to right in factor order, exactly as
+    ``evaluate_term`` multiplies, so every row carries the bits the
+    per-term evaluation gives.
+    """
+    start = 0
+    for combo in combos:
+        lead, *rest = (factor_rows[i] for i in combo)
+        for row in lead:
+            block = row[None, :]
+            for rows in rest:
+                block = (block[:, None, :] * rows).reshape(-1, row.size)
+            yield rank[start:start + len(block)], block
+            start += len(block)
 
 
 def build_dictionary(
@@ -350,31 +385,50 @@ def build_dictionary(
     if candidate_total > budget:
         raise DictionaryTooLarge(candidate_total, budget)
 
-    keyed = []
-    for m in range(1, mixture + 1):
-        for combo in itertools.combinations(range(p), m):
-            for choice in itertools.product(*(per_variable[i] for i in combo)):
-                term = TermExpr(
-                    tuple(
-                        Factor(i, transform, exponent)
-                        for i, (transform, exponent) in zip(combo, choice)
-                    )
-                )
-                keyed.append((canonical_key(term), term))
-    keyed.sort(key=lambda pair: pair[0])
+    # One Factor, one evaluated row and one key string per admissible
+    # (variable, transform, exponent); every term only multiplies these.
+    factors = [[Factor(i, t, e) for t, e in pairs] for i, pairs in enumerate(per_variable)]
+    factor_rows = [
+        np.stack([_evaluate_factor(f, columns[:, f.variable_index]) for f in fs])
+        for fs in factors
+    ]
+    factor_keys = [[_factor_key(f) for f in fs] for fs in factors]
 
-    kept_terms = []
-    kept_columns = []
+    combos = [c for m in range(1, mixture + 1) for c in itertools.combinations(range(p), m)]
+    keys = []
+    choices = []
+    for combo in combos:
+        keys += map("*".join, itertools.product(*(factor_keys[i] for i in combo)))
+        choices += itertools.product(*(factors[i] for i in combo))
+    order = sorted(range(candidate_total), key=keys.__getitem__)
+    rank = np.empty(candidate_total, dtype=np.intp)
+    rank[order] = np.arange(candidate_total)
+
+    # Pass one: which terms are finite and which are constant, by key rank.
+    finite = np.empty(candidate_total, dtype=bool)
+    constant = np.zeros(candidate_total, dtype=bool)
+    for ranks, block in _term_blocks(factor_rows, combos, rank):
+        block_finite = np.isfinite(block).all(axis=1)
+        finite[ranks] = block_finite
+        if block_finite.all():
+            constant[ranks] = _is_constant(block)
+    if not finite.all():
+        # Raises the error of the lowest-keyed non-finite term.
+        evaluate_term(TermExpr(choices[order[int(np.argmin(finite))]]), columns)
+
+    # Pass two: write each kept term's row at its place in key order.
+    kept = ~constant
+    place = np.cumsum(kept) - 1
+    rows = np.empty((int(kept.sum()), n))
+    for ranks, block in _term_blocks(factor_rows, combos, rank):
+        mask = kept[ranks]
+        rows[place[ranks[mask]]] = block[mask]
+
+    kept_terms = [TermExpr._of_sorted(choices[order[r]]) for r in np.flatnonzero(kept)]
     kept_by_mixture = {m: 0 for m in range(1, mixture + 1)}
-    excluded = []
-    for key, term in keyed:
-        values = evaluate_term(term, columns)
-        if _is_constant(values):
-            excluded.append((key, "constant column"))
-            continue
-        kept_terms.append(term)
-        kept_columns.append(values)
+    for term in kept_terms:
         kept_by_mixture[len(term.factors)] += 1
+    excluded = [(keys[order[r]], "constant column") for r in np.flatnonzero(constant)]
 
     census = DictionaryCensus(
         candidate_terms=candidate_total,
@@ -384,10 +438,9 @@ def build_dictionary(
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
-    matrix = np.column_stack(kept_columns) if kept_terms else np.empty((n, 0))
     return Dictionary(
         terms=tuple(kept_terms),
-        columns=matrix,
+        columns=rows.T,
         source_labels=names,
         census=census,
     )

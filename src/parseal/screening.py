@@ -20,7 +20,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import AllColumnsDropped, ZeroVariance
-from .stats import pearson_correlation
+from .stats import center, pearson_correlation
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ class ScreeningReport:
 
 def _abs_corr_with_response(z: Dictionary, y: np.ndarray):
     """|corr| per column; None marks a non-finite correlation."""
+    yc = center(y, "response")
     values = []
     for i in range(len(z)):
         try:
-            r = pearson_correlation(z.column(i), y)
+            r = pearson_correlation(center(z.column(i)), yc)
         except ZeroVariance:
             values.append(None)
             continue
@@ -95,8 +96,8 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     """Keep columns whose |corr(z_j, y)| clears the importance limit.
 
     Column order is preserved.  Columns with undefined correlation (constant
-    data that slipped through) are dropped with a logged reason rather than
-    killing the run.
+    data that slipped through, or a scale that overflows) are dropped with a
+    logged reason rather than killing the run.
 
     Raises
     ------
@@ -139,8 +140,9 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
 
     Candidates are ranked by |corr(z_j, y)| descending (ties on the canonical
     key, ascending) and kept iff their |corr| with every already-kept column
-    is <= varsigma.  Each drop records the kept column that eliminated it.
-    The returned dictionary lists survivors in their original order.
+    is <= varsigma; a pair whose correlation is undefined (NaN) eliminates
+    nothing.  Each drop records the kept column that eliminated it.  The
+    returned dictionary lists survivors in their original order.
     """
     if not (0.0 < varsigma < 1.0):
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
@@ -154,22 +156,25 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
         key=lambda i: (-(corrs[i] if corrs[i] is not None else -1.0), keys[i]),
     )
 
-    kept_order = []
+    # Each candidate is centered once, when its turn comes; only the kept
+    # ones stay centered, so the sweep holds no more than the kept columns.
+    kept = []  # (index, centered column) in sweep order
     dropped = []
     for i in order:
+        candidate = center(z1.column(i))
         eliminated_by = None
         pairwise = 0.0
-        for j in kept_order:
-            r = abs(pearson_correlation(z1.column(i), z1.column(j)))
+        for j, kept_column in kept:
+            r = abs(pearson_correlation(candidate, kept_column))
             if r > varsigma:
                 eliminated_by = j
                 pairwise = r
                 break
         if eliminated_by is None:
-            kept_order.append(i)
+            kept.append((i, candidate))
         else:
             dropped.append(RedundantDrop(z1.terms[i], z1.terms[eliminated_by], pairwise))
-    kept_idx = sorted(kept_order)
+    kept_idx = sorted(i for i, _ in kept)
     return RedundancyResult(dictionary=z1.subset(kept_idx), dropped=tuple(dropped))
 
 

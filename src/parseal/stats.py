@@ -67,26 +67,56 @@ def _as_finite_vector(v, name: str) -> np.ndarray:
     return v
 
 
-def pearson_correlation(a, b) -> float:
-    """Sample Pearson correlation of two equally long vectors.
+@dataclass(frozen=True)
+class CenteredColumn:
+    """A vector minus its mean, and the Euclidean norm of the result.
 
-    Raises ``ZeroVariance`` when either input is constant and
-    ``LengthMismatch`` when the lengths differ.  The result is clipped into
-    [-1, 1] to absorb last-bit rounding.
+    Made by ``center``; ``pearson_correlation`` takes one in place of the raw
+    vector, so a column correlated many times is validated and centered once.
     """
-    a = _as_finite_vector(a, "first vector")
-    b = _as_finite_vector(b, "second vector")
-    if a.shape[0] != b.shape[0]:
-        raise LengthMismatch(f"vectors have lengths {a.shape[0]} and {b.shape[0]}")
+
+    values: np.ndarray
+    norm: float
+
+
+def center(a, name: str = "vector") -> CenteredColumn:
+    """Center a finite vector with the operations ``pearson_correlation`` uses.
+
+    Raises ``NonFinite`` for NaN or infinite entries and ``InsufficientData``
+    for fewer than two of them.
+    """
+    a = _as_finite_vector(a, name)
     if a.shape[0] < 2:
         raise InsufficientData("correlation needs at least two observations")
     ac = a - a.mean()
-    bc = b - b.mean()
-    sa = math.sqrt(float(ac @ ac))
-    sb = math.sqrt(float(bc @ bc))
-    if sa == 0.0 or sb == 0.0:
+    return CenteredColumn(ac, math.sqrt(float(ac @ ac)))
+
+
+def pearson_correlation(a, b) -> float:
+    """Sample Pearson correlation of two equally long vectors.
+
+    Either argument may be a ``CenteredColumn`` from ``center`` instead of
+    the raw vector; the result is the same to the last bit, and a call on two
+    centered columns costs one dot product and one divide.
+
+    Raises ``ZeroVariance`` when either input is constant and
+    ``LengthMismatch`` when the lengths differ.  Returns NaN when the product
+    of the two centered norms over- or underflows, so no correlation is made
+    up from an infinite or zero scale.  Otherwise the result is clipped into
+    [-1, 1] to absorb last-bit rounding.
+    """
+    a = a if isinstance(a, CenteredColumn) else center(a, "first vector")
+    b = b if isinstance(b, CenteredColumn) else center(b, "second vector")
+    if a.values.shape[0] != b.values.shape[0]:
+        raise LengthMismatch(
+            f"vectors have lengths {a.values.shape[0]} and {b.values.shape[0]}"
+        )
+    if a.norm == 0.0 or b.norm == 0.0:
         raise ZeroVariance("correlation is undefined for a constant vector")
-    r = float(ac @ bc) / (sa * sb)
+    scale = a.norm * b.norm
+    if not 0.0 < scale < math.inf:
+        return math.nan
+    r = float(a.values @ b.values) / scale
     return min(1.0, max(-1.0, r))
 
 

@@ -387,3 +387,120 @@ def test_census_to_dict_is_json_friendly():
     parsed = json.loads(json.dumps(payload))
     assert parsed["candidate_terms"] == d.census.candidate_terms
     assert parsed["candidates_by_mixture"] == {"1": 18}
+
+
+# ---------------------------------------------------------------------------
+# block builder against the per-term builder
+# ---------------------------------------------------------------------------
+
+
+def _per_term_build(columns, alpha, mixture):
+    """The per-term reference: every candidate built, keyed and evaluated
+    alone with ``evaluate_term``, then scanned in key order.
+
+    Returns (kept keys, (n, T) matrix, excluded keys, kept count by mixture,
+    candidate count), or raises what the first failing term raises.
+    """
+    n, p = columns.shape
+    mixture = min(mixture, p)
+    menus = [sorted(admissible_factors(columns[:, i], alpha)) for i in range(p)]
+    keyed = []
+    for m in range(1, mixture + 1):
+        for combo in itertools.combinations(range(p), m):
+            for choice in itertools.product(*(menus[i] for i in combo)):
+                term = TermExpr(tuple(Factor(i, t, e) for i, (t, e) in zip(combo, choice)))
+                keyed.append((canonical_key(term), term))
+    keyed.sort(key=lambda pair: pair[0])
+    kept_keys, kept_columns, excluded = [], [], []
+    kept_by_mixture = {m: 0 for m in range(1, mixture + 1)}
+    for key, term in keyed:
+        values = evaluate_term(term, columns)
+        if float(values.std()) <= 1e-12 * abs(float(values.mean())) + 1e-300:
+            excluded.append(key)
+            continue
+        kept_keys.append(key)
+        kept_columns.append(values)
+        kept_by_mixture[len(term.factors)] += 1
+    matrix = np.column_stack(kept_columns) if kept_columns else np.empty((n, 0))
+    return kept_keys, matrix, excluded, kept_by_mixture, len(keyed)
+
+
+_COLUMN_KINDS = ("positive", "signed", "with_zero", "with_one", "duplicate", "constant", "huge")
+
+
+@st.composite
+def _build_inputs(draw):
+    n = draw(st.integers(3, 9))
+    p = draw(st.integers(1, 3))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(_COLUMN_KINDS))
+        if kind == "duplicate" and columns:
+            # Ratio terms of twin columns are exactly constant (example 2).
+            col = columns[draw(st.integers(0, len(columns) - 1))].copy()
+        elif kind == "constant":
+            col = np.full(n, draw(st.floats(0.25, 8.0)))
+        else:
+            lo, hi = {"signed": (-10.0, 10.0), "huge": (1e120, 1e170)}.get(kind, (0.05, 20.0))
+            col = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+            row = draw(st.integers(0, n - 1))
+            if kind == "with_zero":
+                col[row] = 0.0
+            elif kind == "with_one":
+                col[row] = 1.0  # log(1) == 0 blocks negative log powers
+        columns.append(col)
+    return np.column_stack(columns), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+@given(_build_inputs())
+@settings(max_examples=150, deadline=None)
+def test_block_builder_matches_the_per_term_builder(inputs):
+    columns, alpha, mixture = inputs
+    ds = _dataset(columns, tuple(f"x{i}" for i in range(columns.shape[1])))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        try:
+            expected = _per_term_build(columns, alpha, mixture)
+        except DomainViolation as err:
+            with pytest.raises(DomainViolation) as built:
+                build_dictionary(ds, alpha, mixture)
+            assert str(built.value) == str(err)
+            assert built.value.row == err.row
+            return
+        d = build_dictionary(ds, alpha, mixture)
+    kept_keys, matrix, excluded, kept_by_mixture, candidates = expected
+    assert d.keys() == kept_keys
+    assert d.columns.shape == matrix.shape
+    assert d.columns.tobytes() == matrix.tobytes()
+    assert d.census.candidate_terms == candidates
+    assert d.census.kept_terms == len(kept_keys)
+    assert d.census.kept_by_mixture == kept_by_mixture
+    assert d.census.excluded_terms == tuple((key, "constant column") for key in excluded)
+    # Terms built without the constructor's checks still equal checked ones.
+    assert all(TermExpr(t.factors) == t for t in d.terms)
+
+
+def test_overflowing_product_raises_for_the_lowest_keyed_term():
+    a = np.array([1e160, 2e160, 3e160])
+    b = np.array([1.5, 2.0, 4.0])
+    ds = _dataset(np.column_stack([b, a]), ("b", "a"))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainViolation) as err:
+            build_dictionary(ds, alpha=2, mixture=2)
+    # a^2 overflows; the lowest key among the terms holding it is raised.
+    assert str(err.value) == "row 0: term log(v0)^-1*v1^2/1 evaluated to a non-finite value"
+    with np.errstate(over="ignore"), pytest.raises(DomainViolation) as reference:
+        _per_term_build(ds.columns, 2, 2)
+    assert str(reference.value) == str(err.value)
+
+
+def test_subset_layout_does_not_depend_on_the_dictionary_layout():
+    # The search sums the screened columns along axis 0, so the subset it
+    # gets must be laid out as if the dictionary were a row-major (n, T)
+    # matrix, although the builder stores it as the transpose of (T, n) rows.
+    d = build_dictionary(synth_example1(40, seed=3), alpha=2, mixture=2)
+    picks = [5, 0, len(d) - 1, 17]
+    sub = d.subset(picks)
+    row_major = np.ascontiguousarray(d.columns)[:, picks]
+    assert sub.columns.strides == row_major.strides
+    assert sub.columns.tobytes(order="A") == row_major.tobytes(order="A")
+    assert not sub.columns.flags.writeable

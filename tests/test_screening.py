@@ -1,9 +1,13 @@
 """Importance and redundancy filters over an evaluated dictionary."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parseal import (
     Dictionary,
@@ -17,6 +21,7 @@ from parseal import (
     synth_example1,
     synth_example2,
 )
+from parseal import screening
 from parseal.dictionary import IDENTITY, canonical_key
 from parseal.errors import AllColumnsDropped, ZeroVariance
 
@@ -257,3 +262,192 @@ def test_screening_is_deterministic():
     second = screen(z, ds.response, rule, 0.8)
     assert first[0].keys() == second[0].keys()
     assert first[1] == second[1]
+
+
+# ---------------------------------------------------------------------------
+# centered-once screening against the per-pair loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_corr(a, b):
+    """Correlation from two raw vectors, recomputed from scratch; None marks
+    a constant vector, NaN a norm product outside (0, inf)."""
+    ac = a - a.mean()
+    bc = b - b.mean()
+    sa = math.sqrt(float(ac @ ac))
+    sb = math.sqrt(float(bc @ bc))
+    if sa == 0.0 or sb == 0.0:
+        return None
+    if not 0.0 < sa * sb < math.inf:
+        return math.nan
+    return min(1.0, max(-1.0, float(ac @ bc) / (sa * sb)))
+
+
+def _per_pair_screen(z, y, rule, varsigma):
+    """Both screening stages as per-pair loops over raw columns, one
+    correlation call per pair, with the same keep and tie rules."""
+    calls = 0
+
+    def abs_corrs(columns):
+        nonlocal calls
+        out = []
+        for i in range(columns.shape[1]):
+            calls += 1
+            r = _reference_corr(columns[:, i], y)
+            out.append(abs(r) if r is not None and math.isfinite(r) else None)
+        return out
+
+    keys = z.keys()
+    corrs = abs_corrs(z.columns)
+    finite = [c for c in corrs if c is not None]
+    max_abs = max(finite) if finite else 0.0
+    threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
+    kept_idx = [i for i, c in enumerate(corrs) if c is not None and c >= threshold]
+    unimportant = [
+        (keys[i], "nan", "non_finite_correlation")
+        if c is None
+        else (keys[i], c.hex(), "below_threshold")
+        for i, c in enumerate(corrs)
+        if c is None or c < threshold
+    ]
+    if not kept_idx:
+        return {"all_dropped": max_abs.hex(), "calls": calls}
+    columns = z.columns[:, kept_idx]
+    keys1 = [keys[i] for i in kept_idx]
+    corrs1 = abs_corrs(columns)
+    order = sorted(
+        range(len(kept_idx)),
+        key=lambda i: (-(corrs1[i] if corrs1[i] is not None else -1.0), keys1[i]),
+    )
+    kept, redundant = [], []
+    for i in order:
+        for j in kept:
+            calls += 1
+            r = abs(_reference_corr(columns[:, i], columns[:, j]))
+            if r > varsigma:
+                redundant.append((keys1[i], keys1[j], r.hex()))
+                break
+        else:
+            kept.append(i)
+    return {
+        "kept": [keys1[i] for i in sorted(kept)],
+        "unimportant": unimportant,
+        "redundant": redundant,
+        "delta_effective": threshold.hex(),
+        "max_abs_corr": max_abs.hex(),
+        "calls": calls,
+    }
+
+
+_SCREEN_KINDS = (
+    "normal", "normal", "twin", "negated", "scaled", "shifted", "near_twin", "constant",
+)
+
+
+@st.composite
+def _screen_inputs(draw):
+    n = draw(st.integers(5, 30))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(_SCREEN_KINDS))
+        if kind == "constant":
+            col = np.full(n, 2.5)
+        elif kind == "normal" or not columns:
+            col = rng.normal(size=n)
+        else:
+            src = columns[draw(st.integers(0, len(columns) - 1))]
+            col = {
+                "twin": src.copy(),  # exact ties with y and a pairwise |corr| of 1
+                "negated": -src,
+                "scaled": 3.0 * src,
+                "shifted": src + 5.0,
+                "near_twin": src + 1e-9 * rng.normal(size=n),
+            }[kind]
+        columns.append(col)
+    x = np.column_stack(columns)
+    if draw(st.booleans()):
+        y = x[:, draw(st.integers(0, x.shape[1] - 1))].copy()
+    else:
+        y = x @ rng.normal(size=x.shape[1]) + rng.normal(size=n)
+    if float(np.std(y)) == 0.0:
+        y = rng.normal(size=n)
+
+    # Limits drawn either freely or exactly at a realized |correlation|.
+    with_y = [r for r in (_reference_corr(x[:, i], y) for i in range(x.shape[1])) if r is not None]
+    pairs = [
+        abs(r)
+        for i in range(x.shape[1])
+        for j in range(i)
+        if (r := _reference_corr(x[:, i], x[:, j])) is not None and 0.0 < abs(r) < 1.0
+    ]
+    mode = draw(st.sampled_from(("absolute", "relative")))
+    value = draw(st.floats(0.0, 1.0))
+    if mode == "absolute" and with_y and draw(st.booleans()):
+        value = abs(draw(st.sampled_from(with_y)))
+    elif mode == "relative" and draw(st.booleans()):
+        value = 1.0
+    varsigma = draw(st.floats(0.01, 0.99))
+    if pairs and draw(st.booleans()):
+        varsigma = draw(st.sampled_from(pairs))
+    # The block builder hands screening the transpose of a row-major array.
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.T).T
+    return x, y, ImportanceRule(mode, value), varsigma
+
+
+@given(_screen_inputs())
+@settings(max_examples=200, deadline=None)
+def test_centered_screening_matches_the_per_pair_loops(inputs):
+    x, y, rule, varsigma = inputs
+    z = raw_dictionary(x)
+    expected = _per_pair_screen(z, y, rule, varsigma)
+    with mock.patch.object(
+        screening, "pearson_correlation", wraps=screening.pearson_correlation
+    ) as counted:
+        try:
+            _, report = screen(z, y, rule, varsigma)
+        except AllColumnsDropped as err:
+            assert err.max_abs_corr.hex() == expected["all_dropped"]
+            assert counted.call_count == expected["calls"]
+            return
+    key = canonical_key
+    assert [key(t) for t in report.kept] == expected["kept"]
+    assert [
+        (key(d.term), "nan" if math.isnan(d.abs_corr) else d.abs_corr.hex(), d.reason)
+        for d in report.dropped_unimportant
+    ] == expected["unimportant"]
+    assert [
+        (key(d.term), key(d.winner), d.abs_corr.hex()) for d in report.dropped_redundant
+    ] == expected["redundant"]
+    assert report.delta_effective.hex() == expected["delta_effective"]
+    assert report.max_abs_corr.hex() == expected["max_abs_corr"]
+    assert counted.call_count == expected["calls"]
+
+
+def test_overflowing_importance_correlation_is_recorded_as_non_finite():
+    n = 200
+    rng = philox(313)
+    a = (1.0 + rng.random(n)) * 1e100
+    b = rng.random(n)
+    y = 3.0 * a / 1e100 + b
+    z = raw_dictionary(np.column_stack([a, b, a**2]))
+    with np.errstate(over="ignore"):
+        result = importance_filter(z, y, ImportanceRule("relative", 0.5))
+    (drop,) = [d for d in result.dropped if d.reason == "non_finite_correlation"]
+    assert canonical_key(drop.term) == "v2^1/1"  # a^2: true |corr| with y about 0.99
+    assert math.isnan(drop.abs_corr)
+
+
+def test_undefined_pairwise_correlation_eliminates_nothing():
+    n = 200
+    rng = philox(314)
+    u = rng.standard_normal(n)
+    v = -0.02 * u + rng.standard_normal(n)
+    y = u + v
+    # corr(u, v) is about -0.02, but the 1e160-scaled norm product overflows.
+    z = raw_dictionary(np.column_stack([u * 1e160, v * 1e160]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = redundancy_filter(z, y, 0.5)
+    assert result.dropped == ()
+    assert len(result.dictionary) == 2

@@ -16,10 +16,12 @@ from parseal import (
     synth_example1,
     vif,
 )
+from parseal.stats import center
 from parseal.errors import (
     InsufficientData,
     InvalidDf,
     LengthMismatch,
+    NonFinite,
     PerfectCollinearity,
     RankDeficient,
     ZeroVariance,
@@ -75,6 +77,62 @@ def test_correlation_symmetry_and_range(values, seed):
     assert r_ab == pytest.approx(r_ba, abs=1e-12)
     # invariant under positive affine maps of either argument
     assert pearson_correlation(2.5 * a + 1.0, b) == pytest.approx(r_ab, abs=1e-6)
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_centered_columns_give_the_same_correlation_bits(values, seed):
+    a = np.asarray(values)
+    b = philox(seed).normal(size=len(values))
+    # The reference arithmetic: center, norm with ddot, one divide, clip.
+    ac = a - a.mean()
+    bc = b - b.mean()
+    sa = math.sqrt(float(ac @ ac))
+    sb = math.sqrt(float(bc @ bc))
+    ca, cb = center(a), center(b)
+    assert ca.values.tobytes() == ac.tobytes()
+    assert ca.norm == sa and cb.norm == sb
+    if sa == 0.0:
+        for args in ((a, b), (ca, cb), (ca, b), (a, cb)):
+            with pytest.raises(ZeroVariance):
+                pearson_correlation(*args)
+        return
+    expected = min(1.0, max(-1.0, float(ac @ bc) / (sa * sb)))
+    for args in ((a, b), (ca, cb), (ca, b), (a, cb)):
+        assert pearson_correlation(*args) == expected
+
+
+def test_center_validates_its_input():
+    with pytest.raises(NonFinite):
+        center([1.0, float("nan"), 2.0])
+    with pytest.raises(LengthMismatch):
+        center(np.ones((2, 2)))
+    with pytest.raises(InsufficientData):
+        center([1.0])
+    with pytest.raises(LengthMismatch):
+        pearson_correlation(center([1.0, 2.0]), center([1.0, 2.0, 3.0]))
+
+
+def test_overflowing_correlation_is_nan_not_made_up():
+    n = 200
+    rng = philox(211)
+    a = (1.0 + rng.random(n)) * 1e100
+    u = rng.standard_normal(n)
+    v = -0.02 * u + rng.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |corr(a^2, a)| is about 0.99, but ||a^2 - mean(a^2)|| overflows, so
+        # there is no finite scale to divide by (0.0 would be made up).
+        assert math.isnan(pearson_correlation(a**2, a))
+        assert math.isnan(pearson_correlation(center(a**2), center(a)))
+        # A true correlation near -0.02 whose norm product overflows: NaN, not
+        # a value clipped to -1.
+        assert math.isnan(pearson_correlation(u * 1e160, v * 1e160))
+    # The same columns at a representable scale are unaffected.
+    assert pearson_correlation(u, v) == pytest.approx(np.corrcoef(u, v)[0, 1], abs=1e-12)
+    assert pearson_correlation(a / 1e100, a) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
