@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +34,11 @@ IDENTITY = "identity"
 LOG = "log"
 
 DEFAULT_TERM_BUDGET = 200_000
+
+# Term rows are formed about this many at a time (more when one product's
+# trailing factors alone make more).  Larger blocks were no faster on a
+# 21,560-term dictionary and raised the peak RSS of small ones.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,14 @@ class Factor:
 
 @dataclass(frozen=True)
 class TermExpr:
-    """A product of factors over distinct variables, sorted by variable."""
+    """A product of factors over distinct variables, sorted by variable.
+
+    ``key`` is the term's canonical key, rendered once when the term is
+    made; it takes no part in equality or hashing.
+    """
 
     factors: tuple
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(sorted(self.factors, key=lambda f: f.variable_index))
@@ -73,16 +83,19 @@ class TermExpr:
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate variable indices in term: {indices}")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "key", "*".join(_factor_key(f) for f in factors))
 
     @classmethod
-    def _of_sorted(cls, factors: tuple) -> "TermExpr":
+    def _of_sorted(cls, factors: tuple, key: str) -> "TermExpr":
         """A term from factors already sorted by distinct variable index.
 
-        The dictionary builder enumerates factors that way, so it skips the
-        sort and the checks ``__post_init__`` would repeat for every term.
+        The dictionary builder enumerates factors that way and has already
+        joined their keys, so it skips the sort, the checks and the
+        rendering ``__post_init__`` would repeat for every term.
         """
         term = object.__new__(cls)
         object.__setattr__(term, "factors", factors)
+        object.__setattr__(term, "key", key)
         return term
 
     @property
@@ -98,7 +111,7 @@ def _factor_key(f: Factor) -> str:
 
 def canonical_key(term: TermExpr) -> str:
     """Injective, sortable string form: ``v0^1/2*log(v2)^-1`` style."""
-    return "*".join(_factor_key(f) for f in term.factors)
+    return term.key
 
 
 def _format_factor(f: Factor, name: str) -> str:
@@ -199,46 +212,157 @@ class DictionaryCensus:
         }
 
 
-@dataclass(frozen=True)
 class Dictionary:
-    """Evaluated candidate terms, ordered by canonical key."""
+    """Candidate terms, ordered by canonical key, and the rows that evaluate them.
 
-    terms: tuple
-    columns: np.ndarray  # shape (n, len(terms))
-    source_labels: tuple
-    census: DictionaryCensus | None = None
+    Every term's values are a product of *factor rows*, the rows of an (F, n)
+    array, formed left to right.  Which rows a term multiplies is recorded
+    in *products*: tuples ``(a0, a1, ...)`` of factor-row index arrays, each
+    standing for the terms ``rows[i0] * rows[i1] * ...`` over its Cartesian
+    product in row-major order.  ``positions`` maps each such product term,
+    in that order, to its index in ``terms``, or to -1 when it is not one.
 
-    def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=np.float64)
+    So the term rows are formed on demand: ``blocks`` streams all of them,
+    ``subset`` forms only the requested ones, and no (n, T) matrix of every
+    term has to exist.  A dictionary made from a matrix is the case of one
+    factor row per term.
+
+    Parameters
+    ----------
+    terms : sequence of TermExpr
+    columns : array, shape (n, len(terms))
+        The terms' evaluated columns.
+    source_labels : sequence of str
+        Input variable names, for rendering terms.
+    census : DictionaryCensus, optional
+    """
+
+    def __init__(self, terms, columns, source_labels, census=None):
+        cols = np.asarray(columns, dtype=np.float64)
+        if cols.ndim != 2 or cols.shape[1] != len(terms):
+            raise ValueError(
+                f"need an (n, {len(terms)}) column matrix, got shape {cols.shape}"
+            )
         cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "source_labels", tuple(self.source_labels))
+        every = np.arange(len(terms))
+        self._assign(terms, np.ascontiguousarray(cols.T), ((every,),), every, source_labels, census)
+        self._columns = cols
+
+    @classmethod
+    def _of_products(cls, terms, factor_rows, products, positions, source_labels, census):
+        """A dictionary whose term rows are formed from ``factor_rows`` on demand."""
+        z = object.__new__(cls)
+        z._assign(terms, factor_rows, products, positions, source_labels, census)
+        z._columns = None
+        return z
+
+    def _assign(self, terms, factor_rows, products, positions, source_labels, census):
+        factor_rows.setflags(write=False)
+        self.terms = tuple(terms)
+        self.source_labels = tuple(source_labels)
+        self.census = census
+        self._factor_rows = factor_rows
+        self._products = tuple(products)
+        self._positions = positions
+        sizes = [math.prod(len(a) for a in product) for product in self._products]
+        self._offsets = np.cumsum([0] + sizes[:-1])
+        # The place of each term among the product terms.
+        self._enumeration = np.empty(len(self.terms), dtype=np.intp)
+        present = np.flatnonzero(positions >= 0)
+        self._enumeration[positions[present]] = present
 
     def __len__(self) -> int:
         return len(self.terms)
 
     @property
     def n(self) -> int:
-        return self.columns.shape[0]
+        return self._factor_rows.shape[1]
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The (n, T) matrix of every term, formed on first access and kept."""
+        if self._columns is None:
+            rows = np.empty((len(self), self.n))
+            for index, block in self.blocks():
+                rows[index] = block
+            rows.setflags(write=False)
+            self._columns = rows.T
+        return self._columns
 
     def keys(self) -> list:
-        return [canonical_key(t) for t in self.terms]
+        return [t.key for t in self.terms]
 
     def labels(self) -> list:
         return [format_term(t, self.source_labels) for t in self.terms]
 
     def column(self, i: int) -> np.ndarray:
-        return self.columns[:, i]
+        return self._rows([i])[0]
+
+    def blocks(self):
+        """(term indices, (k, n) rows) of every term, a block at a time.
+
+        Blocks come in product order, not key order; each holds at most
+        about ``_BLOCK_ROWS`` C-contiguous rows.
+        """
+        for start, block in _product_blocks(self._factor_rows, self._products):
+            index = self._positions[start:start + len(block)]
+            present = index >= 0
+            if not present.all():
+                index, block = index[present], block[present]
+            yield index, block
+
+    def _rows(self, indices) -> np.ndarray:
+        """The (k, n) rows of the requested terms, in the requested order."""
+        enumeration = self._enumeration[np.asarray(indices, dtype=np.intp)]
+        rows = np.empty((len(enumeration), self.n))
+        product_of = np.searchsorted(self._offsets, enumeration, side="right") - 1
+        for p in np.unique(product_of):
+            picked = np.flatnonzero(product_of == p)
+            arrays = self._products[p]
+            local = np.unravel_index(
+                enumeration[picked] - self._offsets[p], tuple(len(a) for a in arrays)
+            )
+            values = self._factor_rows[arrays[0][local[0]]]
+            for a, i in zip(arrays[1:], local[1:]):
+                values *= self._factor_rows[a[i]]
+            rows[picked] = values
+        return rows
 
     def subset(self, indices) -> "Dictionary":
+        """The requested terms, with only their rows formed.
+
+        ``columns`` is the transpose of the (k, n) rows: an F-ordered (n, k)
+        array, the layout numpy's fancy-index copy of a matrix gives.
+        """
         indices = list(indices)
         return Dictionary(
             terms=tuple(self.terms[i] for i in indices),
-            columns=self.columns[:, indices],
+            columns=self._rows(indices).T,
             source_labels=self.source_labels,
             census=None,
         )
+
+
+def _product_blocks(factor_rows: np.ndarray, products):
+    """(start, rows) of every product term, in blocks of consecutive terms.
+
+    ``start`` is the first row's place among all product terms.  Each block
+    takes a few leading factor rows of one product and multiplies in the
+    other factors' rows by broadcasting, left to right in factor order,
+    exactly as ``evaluate_term`` multiplies, so every row carries the bits
+    the per-term evaluation gives.
+    """
+    n = factor_rows.shape[1]
+    start = 0
+    for lead, *rest in products:
+        rest_rows = [factor_rows[a] for a in rest]
+        step = max(1, _BLOCK_ROWS // math.prod(len(a) for a in rest))
+        for i in range(0, len(lead), step):
+            block = factor_rows[lead[i:i + step]]
+            for rows in rest_rows:
+                block = (block[:, None, :] * rows).reshape(-1, n)
+            yield start, block
+            start += len(block)
 
 
 def _evaluate_factor(f: Factor, col: np.ndarray) -> np.ndarray:
@@ -306,27 +430,6 @@ def _is_constant(values: np.ndarray):
     return sd <= _CONSTANT_SD_REL * np.abs(values.mean(axis=-1)) + 1e-300
 
 
-def _term_blocks(factor_rows, combos, rank: np.ndarray):
-    """(key ranks, term values) of every candidate term, in small blocks.
-
-    One block holds the terms of one variable combination that share its
-    leading factor, as a (terms, n) array in enumeration order; ``rank``
-    maps an enumeration index to the term's place in key order.  Each
-    product is formed left to right in factor order, exactly as
-    ``evaluate_term`` multiplies, so every row carries the bits the
-    per-term evaluation gives.
-    """
-    start = 0
-    for combo in combos:
-        lead, *rest = (factor_rows[i] for i in combo)
-        for row in lead:
-            block = row[None, :]
-            for rows in rest:
-                block = (block[:, None, :] * rows).reshape(-1, row.size)
-            yield rank[start:start + len(block)], block
-            start += len(block)
-
-
 def build_dictionary(
     dataset,
     alpha: int,
@@ -360,7 +463,7 @@ def build_dictionary(
         raise ValueError(f"need a 2-d (n, p) column matrix, got shape {columns.shape}")
     if not np.all(np.isfinite(columns)):
         raise NonFinite("input columns contain NaN or infinite entries")
-    n, p = columns.shape
+    p = columns.shape[1]
     names = tuple(str(nm) for nm in dataset.variable_names)
     if len(names) != p:
         raise ValueError(f"got {len(names)} names for {p} columns")
@@ -388,13 +491,14 @@ def build_dictionary(
     # One Factor, one evaluated row and one key string per admissible
     # (variable, transform, exponent); every term only multiplies these.
     factors = [[Factor(i, t, e) for t, e in pairs] for i, pairs in enumerate(per_variable)]
-    factor_rows = [
-        np.stack([_evaluate_factor(f, columns[:, f.variable_index]) for f in fs])
-        for fs in factors
-    ]
+    factor_rows = np.stack(
+        [_evaluate_factor(f, columns[:, f.variable_index]) for fs in factors for f in fs]
+    )
     factor_keys = [[_factor_key(f) for f in fs] for fs in factors]
+    first_row = np.cumsum([0] + sizes)
 
     combos = [c for m in range(1, mixture + 1) for c in itertools.combinations(range(p), m)]
+    products = [tuple(np.arange(first_row[i], first_row[i + 1]) for i in combo) for combo in combos]
     keys = []
     choices = []
     for combo in combos:
@@ -404,10 +508,12 @@ def build_dictionary(
     rank = np.empty(candidate_total, dtype=np.intp)
     rank[order] = np.arange(candidate_total)
 
-    # Pass one: which terms are finite and which are constant, by key rank.
+    # Which terms are finite and which are constant, by key rank.  No row
+    # is kept: the dictionary forms them again when they are asked for.
     finite = np.empty(candidate_total, dtype=bool)
     constant = np.zeros(candidate_total, dtype=bool)
-    for ranks, block in _term_blocks(factor_rows, combos, rank):
+    for start, block in _product_blocks(factor_rows, products):
+        ranks = rank[start:start + len(block)]
         block_finite = np.isfinite(block).all(axis=1)
         finite[ranks] = block_finite
         if block_finite.all():
@@ -416,19 +522,17 @@ def build_dictionary(
         # Raises the error of the lowest-keyed non-finite term.
         evaluate_term(TermExpr(choices[order[int(np.argmin(finite))]]), columns)
 
-    # Pass two: write each kept term's row at its place in key order.
     kept = ~constant
     place = np.cumsum(kept) - 1
-    rows = np.empty((int(kept.sum()), n))
-    for ranks, block in _term_blocks(factor_rows, combos, rank):
-        mask = kept[ranks]
-        rows[place[ranks[mask]]] = block[mask]
-
-    kept_terms = [TermExpr._of_sorted(choices[order[r]]) for r in np.flatnonzero(kept)]
+    positions = np.where(kept[rank], place[rank], -1)
+    kept_terms = [
+        TermExpr._of_sorted(choices[e], keys[e])
+        for e in (order[r] for r in np.flatnonzero(kept).tolist())
+    ]
     kept_by_mixture = {m: 0 for m in range(1, mixture + 1)}
     for term in kept_terms:
         kept_by_mixture[len(term.factors)] += 1
-    excluded = [(keys[order[r]], "constant column") for r in np.flatnonzero(constant)]
+    excluded = [(keys[order[r]], "constant column") for r in np.flatnonzero(constant).tolist()]
 
     census = DictionaryCensus(
         candidate_terms=candidate_total,
@@ -438,9 +542,6 @@ def build_dictionary(
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
-    return Dictionary(
-        terms=tuple(kept_terms),
-        columns=rows.T,
-        source_labels=names,
-        census=census,
+    return Dictionary._of_products(
+        kept_terms, factor_rows, products, positions, names, census
     )

@@ -81,9 +81,7 @@ def _model_section(model: SelectedModel, source_labels, search_mode: str) -> dic
 
 
 def _screening_section(report, rule, labels) -> dict:
-    def key(term):
-        return canonical_key(term)
-
+    key = canonical_key
     return {
         "delta_mode": rule.mode,
         "delta_value": float(rule.value),
@@ -209,10 +207,6 @@ def run_pipeline(
     with _stage("screening"):
         zr, screening_report = screen(z, dataset.response, cfg.importance, cfg.varsigma)
     timing["screening_s"] = time.perf_counter() - step
-    # Only the census outlives screening; dropping the full n x T matrix here
-    # lets the search and the baseline reuse its memory.
-    census = z.census.to_dict()
-    del z
 
     step = time.perf_counter()
     with _stage("selection"):
@@ -251,7 +245,7 @@ def run_pipeline(
         tool=TOOL_NAME,
         version=TOOL_VERSION,
         config=config_echo,
-        dictionary=census,
+        dictionary=z.census.to_dict(),
         screening=_screening_section(screening_report, cfg.importance, dataset.variable_names),
         selected_model=_model_section(model, dataset.variable_names, cfg.search_mode),
         baseline_model=(

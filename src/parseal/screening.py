@@ -8,7 +8,11 @@ stays at or below the independence limit varsigma, so a weaker near-duplicate
 always loses to the stronger column that made it redundant.
 
 Both filters emit subsequences of their input dictionary: kept columns stay
-in dictionary order and every drop is recorded in the report.
+in dictionary order and every drop is recorded in the report.  Each filter
+centers its input's rows once, a block at a time, and makes one
+``pearson_correlation`` call per correlation.  The importance filter never
+holds more than a block of the dictionary's rows; it forms the survivors'
+rows again for the stage after it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import AllColumnsDropped, ZeroVariance
-from .stats import center, pearson_correlation
+from .stats import center, center_rows, pearson_correlation
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,19 @@ class ScreeningReport:
     varsigma: float
 
 
-def _abs_corr_with_response(z: Dictionary, y: np.ndarray):
-    """|corr| per column; None marks a non-finite correlation."""
-    yc = center(y, "response")
-    values = []
-    for i in range(len(z)):
-        try:
-            r = pearson_correlation(center(z.column(i)), yc)
-        except ZeroVariance:
-            values.append(None)
-            continue
-        values.append(abs(r) if math.isfinite(r) else None)
-    return values
+def _centered_columns(z: Dictionary):
+    """(index, CenteredColumn) of every column of ``z``, centered a block at a time."""
+    for index, block in z.blocks():
+        yield from zip(index.tolist(), center_rows(block))
+
+
+def _abs_corr(column, yc):
+    """|corr(column, y)|; None marks an undefined or non-finite correlation."""
+    try:
+        r = pearson_correlation(column, yc)
+    except ZeroVariance:
+        return None
+    return abs(r) if math.isfinite(r) else None
 
 
 def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> ImportanceResult:
@@ -111,7 +116,10 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     y = np.asarray(y, dtype=np.float64)
     if float(np.std(y)) == 0.0:
         raise ZeroVariance("response is constant; correlations are undefined")
-    corrs = _abs_corr_with_response(z, y)
+    yc = center(y, "response")
+    corrs = [None] * len(z)
+    for i, column in _centered_columns(z):
+        corrs[i] = _abs_corr(column, yc)
     finite = [c for c in corrs if c is not None]
     max_abs = max(finite) if finite else 0.0
     threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
@@ -149,33 +157,31 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     if len(z1) == 0:
         raise AllColumnsDropped(0.0)
     y = np.asarray(y, dtype=np.float64)
-    corrs = _abs_corr_with_response(z1, y)
+    yc = center(y, "response")
+    centered = dict(_centered_columns(z1))
+    corrs = [_abs_corr(centered[i], yc) for i in range(len(z1))]
     keys = z1.keys()
     order = sorted(
         range(len(z1)),
         key=lambda i: (-(corrs[i] if corrs[i] is not None else -1.0), keys[i]),
     )
 
-    # Each candidate is centered once, when its turn comes; only the kept
-    # ones stay centered, so the sweep holds no more than the kept columns.
-    kept = []  # (index, centered column) in sweep order
+    kept = []  # indices in sweep order
     dropped = []
     for i in order:
-        candidate = center(z1.column(i))
         eliminated_by = None
         pairwise = 0.0
-        for j, kept_column in kept:
-            r = abs(pearson_correlation(candidate, kept_column))
+        for j in kept:
+            r = abs(pearson_correlation(centered[i], centered[j]))
             if r > varsigma:
                 eliminated_by = j
                 pairwise = r
                 break
         if eliminated_by is None:
-            kept.append((i, candidate))
+            kept.append(i)
         else:
             dropped.append(RedundantDrop(z1.terms[i], z1.terms[eliminated_by], pairwise))
-    kept_idx = sorted(i for i, _ in kept)
-    return RedundancyResult(dictionary=z1.subset(kept_idx), dropped=tuple(dropped))
+    return RedundancyResult(dictionary=z1.subset(sorted(kept)), dropped=tuple(dropped))
 
 
 def screen(z: Dictionary, y: np.ndarray, rule: ImportanceRule, varsigma: float):

@@ -1,7 +1,11 @@
 """Term grammar, admissibility, enumeration counts, and evaluation."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +24,9 @@ from parseal import (
     evaluate_term,
     format_term,
     synth_example1,
+    write_csv,
 )
+from parseal.cli import main
 from parseal.dictionary import IDENTITY, LOG
 from parseal.errors import DictionaryTooLarge, DomainViolation, NonFinite
 
@@ -504,3 +510,109 @@ def test_subset_layout_does_not_depend_on_the_dictionary_layout():
     assert sub.columns.strides == row_major.strides
     assert sub.columns.tobytes(order="A") == row_major.tobytes(order="A")
     assert not sub.columns.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# term rows formed on demand, and carried keys
+# ---------------------------------------------------------------------------
+
+
+def _rendered_key(term):
+    """The canonical key, rendered from the factors independently."""
+    parts = []
+    for f in term.factors:
+        e = f.exponent
+        if f.transform == LOG:
+            parts.append(f"log(v{f.variable_index})^{e.numerator}")
+        else:
+            parts.append(f"v{f.variable_index}^{e.numerator}/{e.denominator}")
+    return "*".join(parts)
+
+
+@given(_terms())
+@settings(max_examples=100, deadline=None)
+def test_terms_carry_their_key_outside_equality_and_hash(term):
+    assert canonical_key(term) == term.key == _rendered_key(term)
+    twin = TermExpr(tuple(reversed(term.factors)))
+    assert twin == term and hash(twin) == hash(term)
+    object.__setattr__(twin, "key", "not a key")
+    assert twin == term and hash(twin) == hash(term)
+    assert "not a key" not in repr(twin)
+
+
+def test_built_terms_carry_their_rendered_keys():
+    d = build_dictionary(synth_example1(30, seed=4), alpha=2, mixture=3)
+    assert d.keys() == [_rendered_key(t) for t in d.terms]
+    assert d.keys() == sorted(d.keys())
+
+
+def test_term_rows_are_formed_on_demand_with_the_matrix_bits():
+    d = build_dictionary(synth_example1(40, seed=5), alpha=2, mixture=3)
+    matrix = np.column_stack([evaluate_term(t, synth_example1(40, seed=5)) for t in d.terms])
+    seen = np.zeros(len(d), dtype=int)
+    for index, block in d.blocks():
+        assert block.flags.c_contiguous and block.shape == (len(index), d.n)
+        assert block.tobytes() == np.ascontiguousarray(matrix[:, index].T).tobytes()
+        seen[index] += 1
+    assert (seen == 1).all()
+    picks = [7, 3, len(d) - 1, 3]
+    assert d.subset(picks).columns.tobytes() == matrix[:, picks].tobytes()
+    assert d.column(11).tobytes() == matrix[:, 11].tobytes()
+    assert d.columns.tobytes() == matrix.tobytes()
+    assert not d.columns.flags.writeable
+
+
+def test_a_matrix_dictionary_is_one_factor_row_per_term():
+    rng = np.random.default_rng(6)
+    columns = rng.normal(size=(9, 4))
+    terms = tuple(TermExpr((Factor(i, IDENTITY, Fraction(1)),)) for i in range(4))
+    d = Dictionary(terms=terms, columns=columns, source_labels=tuple("abcd"))
+    assert d.columns is columns and not columns.flags.writeable
+    blocks = list(d.blocks())
+    assert [index.tolist() for index, _ in blocks] == [[0, 1, 2, 3]]
+    assert blocks[0][1].tobytes() == columns.T.tobytes()
+    assert d.subset([2, 0]).columns.tobytes() == columns[:, [2, 0]].tobytes()
+    with pytest.raises(ValueError):
+        Dictionary(terms=terms, columns=columns[:, :3], source_labels=tuple("abcd"))
+
+
+def _dict_heavy_shaped():
+    """Six U[0.5, 10] inputs at n = 1000, the benchmark's dictionary-heavy shape."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([41, 0], dtype=np.uint64)))
+    columns = 0.5 + 9.5 * rng.random((1000, 6))
+    return Dataset(
+        variable_names=tuple(f"x{i + 1}" for i in range(6)),
+        columns=columns,
+        response_name="y",
+        response=columns.sum(axis=1),
+    )
+
+
+def test_dictionary_build_holds_no_matrix_of_every_term(tmp_path):
+    ds = _dict_heavy_shaped()
+    tracemalloc.start()
+    try:
+        d = build_dictionary(ds, alpha=2, mixture=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = d.census.candidate_terms
+    assert terms == 21_560
+    # A (T, n) matrix of every term would take T * n * 8 = 172 MB.
+    assert peak < 0.1 * terms * ds.n * 8
+
+    path = tmp_path / "in.csv"
+    write_csv(ds, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["dict", "--input", str(path), "--response", "y", "--alpha", "2", "--mixture", "3"]
+        assert main(argv) == 0
+    census = {
+        "candidate_terms": 21560,
+        "kept_terms": 21560,
+        "candidates_by_mixture": {"1": 60, "2": 1500, "3": 20000},
+        "kept_by_mixture": {"1": 60, "2": 1500, "3": 20000},
+        "excluded_terms": [],
+        "factor_restrictions": {},
+    }
+    assert out.getvalue() == json.dumps(census, indent=2) + "\n"

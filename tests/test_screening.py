@@ -6,8 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_dictionary import _build_inputs, _dataset, _per_term_build
 
 from parseal import (
     Dictionary,
@@ -23,7 +24,7 @@ from parseal import (
 )
 from parseal import screening
 from parseal.dictionary import IDENTITY, canonical_key
-from parseal.errors import AllColumnsDropped, ZeroVariance
+from parseal.errors import AllColumnsDropped, DomainViolation, ZeroVariance
 
 
 def philox(seed, stream=0):
@@ -451,3 +452,97 @@ def test_undefined_pairwise_correlation_eliminates_nothing():
         result = redundancy_filter(z, y, 0.5)
     assert result.dropped == ()
     assert len(result.dictionary) == 2
+
+
+# ---------------------------------------------------------------------------
+# streamed dictionary screening against the matrix path
+# ---------------------------------------------------------------------------
+
+
+def _parent_layout(matrix):
+    """The (n, T) matrix as the transpose of (T, n) rows, as a dictionary
+    holding every term's row would store it."""
+    return np.ascontiguousarray(matrix.T).T
+
+
+@given(_build_inputs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_streamed_screening_matches_the_matrix_path(inputs, data):
+    columns, alpha, mixture = inputs
+    n, p = columns.shape
+    ds = _dataset(columns, tuple(f"x{i}" for i in range(p)))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        try:
+            kept_keys, matrix, *_ = _per_term_build(columns, alpha, mixture)
+        except DomainViolation:
+            return  # both builders raise it; the builder tests compare the errors
+        assume(0 < len(kept_keys) <= 600)
+        d = build_dictionary(ds, alpha, mixture)
+    assert d.keys() == kept_keys
+    # The matrix path: every term's column held in one matrix.
+    reference = Dictionary(terms=d.terms, columns=_parent_layout(matrix), source_labels=ds.variable_names)
+
+    rng = philox(data.draw(st.integers(0, 2**32 - 1)))
+    y_kind = data.draw(st.sampled_from(("term", "noisy_term", "normal")))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        y = rng.normal(size=n)
+        if y_kind != "normal":
+            y = matrix[:, data.draw(st.integers(0, len(kept_keys) - 1))].copy()
+            if y_kind == "noisy_term":
+                y = y + 0.1 * float(np.std(y)) * rng.normal(size=n)
+        if not np.all(np.isfinite(y)) or not 0.0 < float(np.std(y)) < math.inf:
+            y = rng.normal(size=n)
+
+        with_y = [
+            abs(r) for r in (_reference_corr(matrix[:, i], y) for i in range(len(kept_keys)))
+            if r is not None and math.isfinite(r)
+        ]
+        pairs = [
+            abs(r)
+            for i in range(len(kept_keys))
+            for j in range(i)
+            if (r := _reference_corr(matrix[:, i], matrix[:, j])) is not None
+            and 0.0 < abs(r) < 1.0
+        ][:500]
+    mode = data.draw(st.sampled_from(("absolute", "relative")))
+    value = data.draw(st.floats(0.0, 1.0))
+    if with_y and data.draw(st.booleans()):
+        value = data.draw(st.sampled_from(with_y))
+        if mode == "relative":
+            value = 1.0 if data.draw(st.booleans()) else value / max(with_y)
+    rule = ImportanceRule(mode, value)
+    varsigma = data.draw(st.floats(0.01, 0.99))
+    if pairs and data.draw(st.booleans()):
+        varsigma = data.draw(st.sampled_from(pairs))
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        expected = _per_pair_screen(reference, y, rule, varsigma)
+        with mock.patch.object(
+            screening, "pearson_correlation", wraps=screening.pearson_correlation
+        ) as counted:
+            try:
+                importance = importance_filter(d, y, rule)
+            except AllColumnsDropped as err:
+                assert err.max_abs_corr.hex() == expected["all_dropped"]
+                assert counted.call_count == expected["calls"]
+                return
+            redundancy = redundancy_filter(importance.dictionary, y, varsigma)
+    key = canonical_key
+    assert redundancy.dictionary.keys() == expected["kept"]
+    assert [
+        (key(d.term), "nan" if math.isnan(d.abs_corr) else d.abs_corr.hex(), d.reason)
+        for d in importance.dropped
+    ] == expected["unimportant"]
+    assert [
+        (key(d.term), key(d.winner), d.abs_corr.hex()) for d in redundancy.dropped
+    ] == expected["redundant"]
+    assert importance.delta_effective.hex() == expected["delta_effective"]
+    assert importance.max_abs_corr.hex() == expected["max_abs_corr"]
+    assert counted.call_count == expected["calls"]
+
+    # Survivors carry the matrix path's bits, in its layout.
+    place = {k: i for i, k in enumerate(kept_keys)}
+    for survivors in (importance.dictionary, redundancy.dictionary):
+        want = reference.columns[:, [place[k] for k in survivors.keys()]]
+        assert survivors.columns.strides == want.strides
+        assert survivors.columns.tobytes(order="A") == want.tobytes(order="A")

@@ -16,7 +16,7 @@ from parseal import (
     synth_example1,
     vif,
 )
-from parseal.stats import center
+from parseal.stats import center, center_rows
 from parseal.errors import (
     InsufficientData,
     InvalidDf,
@@ -114,6 +114,47 @@ def test_center_validates_its_input():
         center([1.0])
     with pytest.raises(LengthMismatch):
         pearson_correlation(center([1.0, 2.0]), center([1.0, 2.0, 3.0]))
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(1, 12),
+    st.sampled_from((1.0, 1e-200, 1e150, 1e300)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_center_rows_gives_each_row_the_bits_of_a_lone_vector(n, k, scale, seed):
+    rng = philox(seed)
+    block = rng.normal(size=(k, n)) * scale + rng.choice([0.0, 3.0 * scale], size=(k, 1))
+    block[0] = 2.5  # a constant row
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = center_rows(block)
+        assert len(rows) == k
+        for got, row in zip(rows, block):
+            # The reference arithmetic, on a fresh 1-d copy of the row.
+            ac = row.copy() - row.copy().mean()
+            norm = math.sqrt(float(ac @ ac))
+            assert got.values.tobytes() == ac.tobytes()
+            assert got.norm == norm or (math.isnan(got.norm) and math.isnan(norm))
+
+
+def test_center_rows_validates_like_center():
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        center_rows(np.array([[1.0, 2.0, 3.0], [1.0, float("inf"), 2.0]]))
+    with pytest.raises(NonFinite):
+        center_rows(np.array([[float("nan"), 2.0, 3.0]]))
+    with pytest.raises(InsufficientData):
+        center_rows(np.ones((3, 1)))
+    # Finite entries whose sum overflows both ways give a NaN norm, as in
+    # ``center``, not an error.
+    row = np.zeros(32)
+    row[0::8] = 1.7e308  # numpy's pairwise sum puts these in one partial sum
+    row[1::8] = -1.7e308  # and these in another
+    with np.errstate(over="ignore", invalid="ignore"):
+        (got,) = center_rows(row[None, :])
+        want = center(row)
+    assert math.isnan(want.norm)
+    assert math.isnan(got.norm)
 
 
 def test_overflowing_correlation_is_nan_not_made_up():
