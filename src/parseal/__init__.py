@@ -33,7 +33,6 @@ from .selection import (
     baseline_best_subset,
     best_subset_search,
     greedy_forward_search,
-    subset_feasible,
 )
 from .stats import (
     BlandAltmanSummary,
@@ -82,7 +81,6 @@ __all__ = [
     "run_pipeline",
     "screen",
     "solve_least_squares",
-    "subset_feasible",
     "synth_example1",
     "synth_example2",
     "vif",

@@ -35,10 +35,10 @@ LOG = "log"
 
 DEFAULT_TERM_BUDGET = 200_000
 
-# Term rows are formed about this many at a time (more when one product's
-# trailing factors alone make more).  Larger blocks were no faster on a
-# 21,560-term dictionary and raised the peak RSS of small ones.
-_BLOCK_ROWS = 16
+# Term rows are formed this many at a time, in key order.  On a 21,560-term
+# dictionary, 16-row blocks made the whole fit about 5% slower (the per-call
+# cost of the constant check) and 256-row blocks built 20% slower.
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,10 @@ class Dictionary:
     """Candidate terms, ordered by canonical key, and the rows that evaluate them.
 
     Every term's values are a product of *factor rows*, the rows of an (F, n)
-    array, formed left to right.  Which rows a term multiplies is recorded
-    in *products*: tuples ``(a0, a1, ...)`` of factor-row index arrays, each
-    standing for the terms ``rows[i0] * rows[i1] * ...`` over its Cartesian
-    product in row-major order.  ``positions`` maps each such product term,
-    in that order, to its index in ``terms``, or to -1 when it is not one.
+    array, multiplied left to right.  Row t of the (T, m) integer *recipe*
+    lists term t's factor-row indices in factor order; a term of fewer than m
+    factors is padded with an all-ones factor row, which changes no bit
+    (``x * 1.0 == x``).  ``_form`` gathers and multiplies them.
 
     So the term rows are formed on demand: ``blocks`` streams all of them,
     ``subset`` forms only the requested ones, and no (n, T) matrix of every
@@ -244,32 +243,25 @@ class Dictionary:
                 f"need an (n, {len(terms)}) column matrix, got shape {cols.shape}"
             )
         cols.setflags(write=False)
-        every = np.arange(len(terms))
-        self._assign(terms, np.ascontiguousarray(cols.T), ((every,),), every, source_labels, census)
+        recipe = np.arange(len(terms))[:, None]
+        self._assign(terms, np.ascontiguousarray(cols.T), recipe, source_labels, census)
         self._columns = cols
 
     @classmethod
-    def _of_products(cls, terms, factor_rows, products, positions, source_labels, census):
+    def _of_recipe(cls, terms, factor_rows, recipe, source_labels, census):
         """A dictionary whose term rows are formed from ``factor_rows`` on demand."""
         z = object.__new__(cls)
-        z._assign(terms, factor_rows, products, positions, source_labels, census)
+        z._assign(terms, factor_rows, recipe, source_labels, census)
         z._columns = None
         return z
 
-    def _assign(self, terms, factor_rows, products, positions, source_labels, census):
+    def _assign(self, terms, factor_rows, recipe, source_labels, census):
         factor_rows.setflags(write=False)
         self.terms = tuple(terms)
         self.source_labels = tuple(source_labels)
         self.census = census
         self._factor_rows = factor_rows
-        self._products = tuple(products)
-        self._positions = positions
-        sizes = [math.prod(len(a) for a in product) for product in self._products]
-        self._offsets = np.cumsum([0] + sizes[:-1])
-        # The place of each term among the product terms.
-        self._enumeration = np.empty(len(self.terms), dtype=np.intp)
-        present = np.flatnonzero(positions >= 0)
-        self._enumeration[positions[present]] = present
+        self._recipe = recipe
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -282,11 +274,7 @@ class Dictionary:
     def columns(self) -> np.ndarray:
         """The (n, T) matrix of every term, formed on first access and kept."""
         if self._columns is None:
-            rows = np.empty((len(self), self.n))
-            for index, block in self.blocks():
-                rows[index] = block
-            rows.setflags(write=False)
-            self._columns = rows.T
+            self._columns = self._formed(self._recipe).T
         return self._columns
 
     def keys(self) -> list:
@@ -296,36 +284,26 @@ class Dictionary:
         return [format_term(t, self.source_labels) for t in self.terms]
 
     def column(self, i: int) -> np.ndarray:
-        return self._rows([i])[0]
+        return _form(self._factor_rows, self._recipe[[i]])[0]
 
     def blocks(self):
         """(term indices, (k, n) rows) of every term, a block at a time.
 
-        Blocks come in product order, not key order; each holds at most
-        about ``_BLOCK_ROWS`` C-contiguous rows.
+        Blocks come in key order, each holding the C-contiguous rows of the
+        next ``_BLOCK_ROWS`` terms.
         """
-        for start, block in _product_blocks(self._factor_rows, self._products):
-            index = self._positions[start:start + len(block)]
-            present = index >= 0
-            if not present.all():
-                index, block = index[present], block[present]
-            yield index, block
+        for start in range(0, len(self), _BLOCK_ROWS):
+            block = _form(self._factor_rows, self._recipe[start:start + _BLOCK_ROWS])
+            yield np.arange(start, start + len(block)), block
 
-    def _rows(self, indices) -> np.ndarray:
-        """The (k, n) rows of the requested terms, in the requested order."""
-        enumeration = self._enumeration[np.asarray(indices, dtype=np.intp)]
-        rows = np.empty((len(enumeration), self.n))
-        product_of = np.searchsorted(self._offsets, enumeration, side="right") - 1
-        for p in np.unique(product_of):
-            picked = np.flatnonzero(product_of == p)
-            arrays = self._products[p]
-            local = np.unravel_index(
-                enumeration[picked] - self._offsets[p], tuple(len(a) for a in arrays)
+    def _formed(self, recipe) -> np.ndarray:
+        """The read-only (k, n) rows of ``recipe``'s terms, formed a block at a time."""
+        rows = np.empty((len(recipe), self.n))
+        for start in range(0, len(recipe), _BLOCK_ROWS):
+            rows[start:start + _BLOCK_ROWS] = _form(
+                self._factor_rows, recipe[start:start + _BLOCK_ROWS]
             )
-            values = self._factor_rows[arrays[0][local[0]]]
-            for a, i in zip(arrays[1:], local[1:]):
-                values *= self._factor_rows[a[i]]
-            rows[picked] = values
+        rows.setflags(write=False)
         return rows
 
     def subset(self, indices) -> "Dictionary":
@@ -337,32 +315,25 @@ class Dictionary:
         indices = list(indices)
         return Dictionary(
             terms=tuple(self.terms[i] for i in indices),
-            columns=self._rows(indices).T,
+            columns=self._formed(self._recipe[indices]).T,
             source_labels=self.source_labels,
             census=None,
         )
 
 
-def _product_blocks(factor_rows: np.ndarray, products):
-    """(start, rows) of every product term, in blocks of consecutive terms.
+def _form(factor_rows: np.ndarray, recipe: np.ndarray) -> np.ndarray:
+    """The (k, n) rows of the terms whose factor-row indices are ``recipe``'s rows.
 
-    ``start`` is the first row's place among all product terms.  Each block
-    takes a few leading factor rows of one product and multiplies in the
-    other factors' rows by broadcasting, left to right in factor order,
-    exactly as ``evaluate_term`` multiplies, so every row carries the bits
-    the per-term evaluation gives.
+    Factors are multiplied left to right, in factor order, exactly as
+    ``evaluate_term`` multiplies, so every row carries the bits the per-term
+    evaluation gives; a product that overflows is left inf or NaN for the
+    caller to judge.
     """
-    n = factor_rows.shape[1]
-    start = 0
-    for lead, *rest in products:
-        rest_rows = [factor_rows[a] for a in rest]
-        step = max(1, _BLOCK_ROWS // math.prod(len(a) for a in rest))
-        for i in range(0, len(lead), step):
-            block = factor_rows[lead[i:i + step]]
-            for rows in rest_rows:
-                block = (block[:, None, :] * rows).reshape(-1, n)
-            yield start, block
-            start += len(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = factor_rows[recipe[:, 0]]
+        for j in range(1, recipe.shape[1]):
+            rows *= factor_rows[recipe[:, j]]
+    return rows
 
 
 def _evaluate_factor(f: Factor, col: np.ndarray) -> np.ndarray:
@@ -407,9 +378,10 @@ def evaluate_term(term: TermExpr, dataset) -> np.ndarray:
     """
     columns = np.asarray(getattr(dataset, "columns", dataset), dtype=np.float64)
     out = None
-    for f in term.factors:
-        values = _evaluate_factor(f, columns[:, f.variable_index])
-        out = values if out is None else out * values
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        for f in term.factors:
+            values = _evaluate_factor(f, columns[:, f.variable_index])
+            out = values if out is None else out * values
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise DomainViolation(
@@ -426,8 +398,9 @@ def _is_constant(values: np.ndarray):
     Row sums run along the contiguous axis, in the order a 1-d vector's do,
     so a row's verdict is the one the vector alone would get.
     """
-    sd = values.std(axis=-1)
-    return sd <= _CONSTANT_SD_REL * np.abs(values.mean(axis=-1)) + 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = values.std(axis=-1)
+        return sd <= _CONSTANT_SD_REL * np.abs(values.mean(axis=-1)) + 1e-300
 
 
 def build_dictionary(
@@ -490,49 +463,51 @@ def build_dictionary(
 
     # One Factor, one evaluated row and one key string per admissible
     # (variable, transform, exponent); every term only multiplies these.
+    # The last factor row is all ones, the padding of shorter terms' recipes.
     factors = [[Factor(i, t, e) for t, e in pairs] for i, pairs in enumerate(per_variable)]
-    factor_rows = np.stack(
-        [_evaluate_factor(f, columns[:, f.variable_index]) for fs in factors for f in fs]
-    )
+    with np.errstate(over="ignore"):  # an overflowing term is raised below
+        factor_rows = np.stack(
+            [_evaluate_factor(f, columns[:, f.variable_index]) for fs in factors for f in fs]
+            + [np.ones(columns.shape[0])]
+        )
     factor_keys = [[_factor_key(f) for f in fs] for fs in factors]
     first_row = np.cumsum([0] + sizes)
 
-    combos = [c for m in range(1, mixture + 1) for c in itertools.combinations(range(p), m)]
-    products = [tuple(np.arange(first_row[i], first_row[i + 1]) for i in combo) for combo in combos]
     keys = []
     choices = []
-    for combo in combos:
-        keys += map("*".join, itertools.product(*(factor_keys[i] for i in combo)))
-        choices += itertools.product(*(factors[i] for i in combo))
-    order = sorted(range(candidate_total), key=keys.__getitem__)
-    rank = np.empty(candidate_total, dtype=np.intp)
-    rank[order] = np.arange(candidate_total)
+    recipes = []
+    for m in range(1, mixture + 1):
+        for combo in itertools.combinations(range(p), m):
+            keys += map("*".join, itertools.product(*(factor_keys[i] for i in combo)))
+            choices += itertools.product(*(factors[i] for i in combo))
+            # The combination's Cartesian product, row-major as above.
+            local = np.indices([sizes[i] for i in combo]).reshape(m, -1).T
+            recipe = np.full((len(local), mixture), len(factor_rows) - 1)
+            recipe[:, :m] = local + first_row[list(combo)]
+            recipes.append(recipe)
+    order = np.array(sorted(range(candidate_total), key=keys.__getitem__), dtype=np.intp)
+    recipe = np.concatenate(recipes)[order]
 
-    # Which terms are finite and which are constant, by key rank.  No row
+    # Which terms are finite and which are constant, in key order.  No row
     # is kept: the dictionary forms them again when they are asked for.
     finite = np.empty(candidate_total, dtype=bool)
     constant = np.zeros(candidate_total, dtype=bool)
-    for start, block in _product_blocks(factor_rows, products):
-        ranks = rank[start:start + len(block)]
-        block_finite = np.isfinite(block).all(axis=1)
-        finite[ranks] = block_finite
-        if block_finite.all():
-            constant[ranks] = _is_constant(block)
+    for start in range(0, candidate_total, _BLOCK_ROWS):
+        block = _form(factor_rows, recipe[start:start + _BLOCK_ROWS])
+        span = slice(start, start + len(block))
+        finite[span] = np.isfinite(block).all(axis=1)
+        if finite[span].all():
+            constant[span] = _is_constant(block)
     if not finite.all():
         # Raises the error of the lowest-keyed non-finite term.
-        evaluate_term(TermExpr(choices[order[int(np.argmin(finite))]]), columns)
+        evaluate_term(TermExpr(choices[order[np.argmin(finite)]]), columns)
 
     kept = ~constant
-    place = np.cumsum(kept) - 1
-    positions = np.where(kept[rank], place[rank], -1)
-    kept_terms = [
-        TermExpr._of_sorted(choices[e], keys[e])
-        for e in (order[r] for r in np.flatnonzero(kept).tolist())
-    ]
+    kept_terms = [TermExpr._of_sorted(choices[e], keys[e]) for e in order[kept].tolist()]
     kept_by_mixture = {m: 0 for m in range(1, mixture + 1)}
     for term in kept_terms:
         kept_by_mixture[len(term.factors)] += 1
-    excluded = [(keys[order[r]], "constant column") for r in np.flatnonzero(constant).tolist()]
+    excluded = [(keys[e], "constant column") for e in order[constant].tolist()]
 
     census = DictionaryCensus(
         candidate_terms=candidate_total,
@@ -542,6 +517,4 @@ def build_dictionary(
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
-    return Dictionary._of_products(
-        kept_terms, factor_rows, products, positions, names, census
-    )
+    return Dictionary._of_recipe(kept_terms, factor_rows, recipe[kept], names, census)

@@ -80,7 +80,7 @@ def _model_section(model: SelectedModel, source_labels, search_mode: str) -> dic
     }
 
 
-def _screening_section(report, rule, labels) -> dict:
+def _screening_section(report, rule) -> dict:
     key = canonical_key
     return {
         "delta_mode": rule.mode,
@@ -165,11 +165,10 @@ def _residuals_rows(observed: np.ndarray, residuals: np.ndarray):
 
 def _bland_altman_rows(observed: np.ndarray, residuals: np.ndarray):
     fitted = observed - residuals
-    summary = bland_altman(observed, fitted)
     rows = ["mean,difference"]
-    for mean, diff in summary.pairs:
+    for mean, diff in bland_altman(observed, fitted).pairs:
         rows.append(f"{float(mean)!r},{float(diff)!r}")
-    return "\n".join(rows) + "\n", summary
+    return "\n".join(rows) + "\n"
 
 
 def run_pipeline(
@@ -246,7 +245,7 @@ def run_pipeline(
         version=TOOL_VERSION,
         config=config_echo,
         dictionary=z.census.to_dict(),
-        screening=_screening_section(screening_report, cfg.importance, dataset.variable_names),
+        screening=_screening_section(screening_report, cfg.importance),
         selected_model=_model_section(model, dataset.variable_names, cfg.search_mode),
         baseline_model=(
             _model_section(baseline, dataset.variable_names, "exhaustive") if baseline else None
@@ -265,7 +264,7 @@ def run_pipeline(
                 os.path.join(out_dir, f"residuals_{tag}.csv"),
                 _residuals_rows(dataset.response, residuals),
             )
-            ba_text, _ = _bland_altman_rows(dataset.response, residuals)
+            ba_text = _bland_altman_rows(dataset.response, residuals)
             _write_text(os.path.join(out_dir, f"bland_altman_{tag}.csv"), ba_text)
 
     return report

@@ -83,9 +83,9 @@ class ScreeningReport:
 
 
 def _centered_columns(z: Dictionary):
-    """(index, CenteredColumn) of every column of ``z``, centered a block at a time."""
-    for index, block in z.blocks():
-        yield from zip(index.tolist(), center_rows(block))
+    """A CenteredColumn of every column of ``z``, in order, centered a block at a time."""
+    for _, block in z.blocks():
+        yield from center_rows(block)
 
 
 def _abs_corr(column, yc):
@@ -117,9 +117,7 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     if float(np.std(y)) == 0.0:
         raise ZeroVariance("response is constant; correlations are undefined")
     yc = center(y, "response")
-    corrs = [None] * len(z)
-    for i, column in _centered_columns(z):
-        corrs[i] = _abs_corr(column, yc)
+    corrs = [_abs_corr(column, yc) for column in _centered_columns(z)]
     finite = [c for c in corrs if c is not None]
     max_abs = max(finite) if finite else 0.0
     threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
@@ -158,8 +156,8 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
         raise AllColumnsDropped(0.0)
     y = np.asarray(y, dtype=np.float64)
     yc = center(y, "response")
-    centered = dict(_centered_columns(z1))
-    corrs = [_abs_corr(centered[i], yc) for i in range(len(z1))]
+    centered = list(_centered_columns(z1))
+    corrs = [_abs_corr(column, yc) for column in centered]
     keys = z1.keys()
     order = sorted(
         range(len(z1)),

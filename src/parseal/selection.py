@@ -112,30 +112,6 @@ class SelectedModel:
     best_by_size: dict
 
 
-def subset_feasible(design: DesignMatrix, vif_cap: float):
-    """Rank check first, then the VIF cap.
-
-    Returns ``(feasible, vifs)``; ``vifs`` is None when the design is rank
-    deficient or perfectly collinear, else the VIF vector of the predictor
-    columns.  Single-predictor designs are always VIF-feasible.
-    """
-    return _feasibility_from(qr_factorize(design), design, vif_cap)
-
-
-def _feasibility_from(fact, design: DesignMatrix, vif_cap: float):
-    if fact.rank < design.k:
-        return False, None
-    predictors = design.predictors()
-    if predictors.shape[1] == 1:
-        vifs = np.array([1.0])
-    else:
-        try:
-            vifs = vif(predictors)
-        except (PerfectCollinearity, ZeroVariance):
-            return False, None
-    return bool(np.max(vifs) < vif_cap), vifs
-
-
 def _check_y(y, n: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
@@ -146,15 +122,25 @@ def _check_y(y, n: int) -> np.ndarray:
 
 
 def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float):
-    """Return ``score(combo)``: the adjusted R^2, or None when infeasible."""
+    """Return ``score(combo)``: the adjusted R^2, or None when infeasible.
+
+    A candidate is infeasible when its design is rank deficient (pivoted QR)
+    or perfectly collinear, or when its largest VIF is not strictly below
+    ``vif_cap``.  A single predictor is always VIF-feasible.
+    """
     n = columns.shape[0]
 
     def score(combo):
         design = DesignMatrix.with_intercept(columns[:, combo])
         fact = qr_factorize(design)
-        feasible, _ = _feasibility_from(fact, design, vif_cap)
-        if not feasible:
+        if fact.rank < design.k:
             return None
+        if len(combo) > 1:
+            try:
+                if not np.max(vif(design.predictors())) < vif_cap:
+                    return None
+            except (PerfectCollinearity, ZeroVariance):
+                return None
         solution = _solve_from_factorization(fact, design, y)
         k = len(combo)
         r2 = 1.0 - solution.residual_sum_squares / tss

@@ -101,12 +101,13 @@ def center_rows(block: np.ndarray) -> list:
     if block.shape[1] < 2:
         raise InsufficientData("correlation needs at least two observations")
     out = []
-    for k, centered in enumerate(block - block.mean(axis=1)[:, None]):
-        norm = math.sqrt(float(centered.dot(centered)))
-        # A finite row gives a NaN norm only when its sum overflows both ways.
-        if math.isnan(norm) and not np.all(np.isfinite(block[k])):
-            raise NonFinite("vector contains NaN or infinite entries")
-        out.append(CenteredColumn(centered, norm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, centered in enumerate(block - block.mean(axis=1)[:, None]):
+            norm = math.sqrt(float(centered.dot(centered)))
+            # A finite row gives a NaN norm only when its sum overflows both ways.
+            if math.isnan(norm) and not np.all(np.isfinite(block[k])):
+                raise NonFinite("vector contains NaN or infinite entries")
+            out.append(CenteredColumn(centered, norm))
     return out
 
 

@@ -431,7 +431,10 @@ def _per_term_build(columns, alpha, mixture):
     return kept_keys, matrix, excluded, kept_by_mixture, len(keyed)
 
 
-_COLUMN_KINDS = ("positive", "signed", "with_zero", "with_one", "duplicate", "constant", "huge")
+_COLUMN_KINDS = (
+    "positive", "signed", "with_zero", "with_one", "duplicate", "constant", "huge", "tiny"
+)
+_KIND_RANGES = {"signed": (-10.0, 10.0), "huge": (1e120, 1e170), "tiny": (1e-170, 1e-150)}
 
 
 @st.composite
@@ -447,7 +450,8 @@ def _build_inputs(draw):
         elif kind == "constant":
             col = np.full(n, draw(st.floats(0.25, 8.0)))
         else:
-            lo, hi = {"signed": (-10.0, 10.0), "huge": (1e120, 1e170)}.get(kind, (0.05, 20.0))
+            # Products of tiny entries underflow to subnormals and zeros.
+            lo, hi = _KIND_RANGES.get(kind, (0.05, 20.0))
             col = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
             row = draw(st.integers(0, n - 1))
             if kind == "with_zero":
@@ -550,7 +554,11 @@ def test_term_rows_are_formed_on_demand_with_the_matrix_bits():
     d = build_dictionary(synth_example1(40, seed=5), alpha=2, mixture=3)
     matrix = np.column_stack([evaluate_term(t, synth_example1(40, seed=5)) for t in d.terms])
     seen = np.zeros(len(d), dtype=int)
+    start = 0
     for index, block in d.blocks():
+        # Blocks come in key order: consecutive, ascending index ranges.
+        assert index.tolist() == list(range(start, start + len(index))) and len(index) > 0
+        start += len(index)
         assert block.flags.c_contiguous and block.shape == (len(index), d.n)
         assert block.tobytes() == np.ascontiguousarray(matrix[:, index].T).tobytes()
         seen[index] += 1

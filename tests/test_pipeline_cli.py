@@ -261,6 +261,31 @@ def test_cli_version_banner(capsys):
     assert capsys.readouterr().out.strip() == "parseal 0.1.0"
 
 
+@pytest.mark.parametrize("command", ["fit", "dict"])
+@pytest.mark.parametrize("scale", [1e160, 1e100])
+def test_handled_overflow_leaks_no_numpy_warnings(command, scale, tmp_path):
+    # At 1e160, a^2 overflows and the run stops at the dictionary; at 1e100,
+    # a^2's squares overflow in the constant check and in screening.  Either
+    # way numpy's overflow warnings stay out of stderr: a failed run prints
+    # its one error line and nothing else.
+    rng = philox(506)
+    a = rng.uniform(1.0, 2.0, 50) * scale
+    b = rng.uniform(0.0, 1.0, 50)
+    path = tmp_path / "big.csv"
+    write_csv(Dataset(("a", "b"), np.column_stack([a, b]), "y", 3.0 * a / scale + b), path)
+    argv = [command, "--input", str(path), "--response", "y"]
+    if command == "fit":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    run = subprocess.run(
+        [sys.executable, "-m", "parseal.cli", *argv], capture_output=True, text=True
+    )
+    assert run.stderr.count("\n") == (1 if run.returncode else 0)
+    assert "Warning" not in run.stderr
+    if scale == 1e160:
+        assert run.returncode == 2
+        assert run.stderr.endswith("term v0^2/1 evaluated to a non-finite value\n")
+
+
 def test_cli_data_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,y\n1,2\n3,oops\n5,6\n")

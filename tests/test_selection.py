@@ -20,7 +20,6 @@ from parseal import (
     baseline_best_subset,
     best_subset_search,
     greedy_forward_search,
-    subset_feasible,
     synth_example1,
     vif,
 )
@@ -55,18 +54,35 @@ def raw_dictionary(columns):
 # ---------------------------------------------------------------------------
 
 
+def _score(columns, vif_cap, y=None):
+    """The search's QR scorer on ``columns``, for a response ``y`` (noise by default)."""
+    columns = np.asarray(columns, dtype=np.float64)
+    y = philox(400).normal(size=columns.shape[0]) if y is None else y
+    tss = float((y - y.mean()) @ (y - y.mean()))
+    return selection._make_scorer(columns, y, vif_cap, tss)(tuple(range(columns.shape[1])))
+
+
+def _adjusted_r2(columns, y):
+    design = np.column_stack([np.ones(len(y)), columns])
+    residual = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    r2 = 1.0 - (residual @ residual) / ((y - y.mean()) @ (y - y.mean()))
+    return 1.0 - (1.0 - r2) * (len(y) - 1) / (len(y) - columns.shape[1] - 1)
+
+
 def test_orthogonal_design_is_feasible_with_unit_vifs():
     z1 = np.tile([1.0, -1.0], 16)
     z2 = np.tile([1.0, 1.0, -1.0, -1.0], 8)
-    ok, vifs = subset_feasible(DesignMatrix.with_intercept(np.column_stack([z1, z2])), 10.0)
-    assert ok
-    np.testing.assert_allclose(vifs, [1.0, 1.0], atol=1e-12)
+    columns = np.column_stack([z1, z2])
+    y = 2.0 * z1 - z2 + philox(404).normal(size=32)
+    # Every VIF is 1, so a cap just above 1 still admits the pair.
+    assert _score(columns, 1.0 + 1e-9, y) == pytest.approx(_adjusted_r2(columns, y), rel=1e-12)
+    np.testing.assert_allclose(vif(columns), [1.0, 1.0], atol=1e-12)
 
 
 def test_single_predictor_is_always_vif_feasible():
-    ok, vifs = subset_feasible(DesignMatrix.with_intercept(philox(401).normal(size=(20, 1))), 1.5)
-    assert ok
-    assert vifs.tolist() == [1.0]
+    column = philox(401).normal(size=(20, 1))
+    y = column[:, 0] + philox(405).normal(size=20)
+    assert _score(column, 1.5, y) == pytest.approx(_adjusted_r2(column, y), rel=1e-12)
 
 
 def test_vif_cap_is_a_strict_upper_bound():
@@ -79,19 +95,20 @@ def test_vif_cap_is_a_strict_upper_bound():
     ec /= np.linalg.norm(ec)
     # R^2 = 0.95 between the pair puts both VIFs at 20
     z2 = math.sqrt(0.95) * z1c + math.sqrt(0.05) * ec
-    design = DesignMatrix.with_intercept(np.column_stack([z1c, z2]))
-    ok, vifs = subset_feasible(design, 10.0)
-    assert not ok
+    columns = np.column_stack([z1c, z2])
+    vifs = vif(columns)
     np.testing.assert_allclose(vifs, [20.0, 20.0], atol=1e-6)
-    ok_loose, _ = subset_feasible(design, 21.0)
-    assert ok_loose
+    assert _score(columns, 10.0) is None
+    assert _score(columns, 21.0) is not None
+    # A largest VIF equal to the cap is infeasible; one ulp above admits it.
+    assert _score(columns, float(np.max(vifs))) is None
+    assert _score(columns, float(np.nextafter(np.max(vifs), np.inf))) is not None
 
 
 def test_duplicate_columns_are_infeasible_without_vifs():
     col = philox(403).normal(size=30)
-    ok, vifs = subset_feasible(DesignMatrix.with_intercept(np.column_stack([col, col])), 10.0)
-    assert not ok
-    assert vifs is None
+    assert _score(np.column_stack([col, col]), 10.0) is None
+    assert _score(np.column_stack([col, col]), math.inf) is None
 
 
 # ---------------------------------------------------------------------------
