@@ -18,8 +18,8 @@ from .dictionary import (
     format_term,
 )
 from .errors import ParsealError
-from .linalg import DesignMatrix, LstSqSolution, QRFactorization, qr_factorize, solve_least_squares
-from .pipeline import RunReport, run_pipeline
+from .linalg import DesignMatrix, QRFactorization, qr_factorize
+from .pipeline import TOOL_VERSION as __version__, RunReport, run_pipeline
 from .screening import (
     ImportanceRule,
     ScreeningReport,
@@ -44,8 +44,6 @@ from .stats import (
     vif,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BlandAltmanSummary",
     "Dataset",
@@ -53,7 +51,6 @@ __all__ = [
     "Dictionary",
     "Factor",
     "ImportanceRule",
-    "LstSqSolution",
     "ModelFit",
     "ParsealError",
     "QRFactorization",
@@ -80,7 +77,6 @@ __all__ = [
     "redundancy_filter",
     "run_pipeline",
     "screen",
-    "solve_least_squares",
     "synth_example1",
     "synth_example2",
     "vif",

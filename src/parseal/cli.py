@@ -83,6 +83,7 @@ def _read_config(path) -> dict:
 
 
 def _build_parser() -> _Parser:
+    defaults = SelectionConfig()
     parser = _Parser(prog="parseal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"parseal {TOOL_VERSION}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -91,28 +92,36 @@ def _build_parser() -> _Parser:
     fit.add_argument("--config", default=None, help="flat key=value file mirroring these flags")
     fit.add_argument("--input", default=None, help="input CSV path")
     fit.add_argument("--response", default=None, help="name of the response column")
-    fit.add_argument("--alpha", type=int, default=None, help="largest absolute exponent (default 2)")
-    fit.add_argument("--mixture", type=int, default=None, help="max distinct variables per term (default 2)")
-    fit.add_argument("--delta", type=float, default=None, help="importance limit (default 0.5)")
+    fit.add_argument("--alpha", type=int, default=None,
+                     help=f"largest absolute exponent (default {defaults.alpha})")
+    fit.add_argument("--mixture", type=int, default=None,
+                     help=f"max distinct variables per term (default {defaults.mixture_m})")
+    fit.add_argument("--delta", type=float, default=None,
+                     help=f"importance limit (default {defaults.importance.value})")
     fit.add_argument(
         "--delta-mode",
         choices=["absolute", "relative"],
         default=None,
-        help="interpret --delta as-is or relative to the best column (default relative)",
+        help="interpret --delta as-is or relative to the best column "
+        f"(default {defaults.importance.mode})",
     )
-    fit.add_argument("--varsigma", type=float, default=None, help="independence limit (default 0.8)")
-    fit.add_argument("--vif-cap", type=float, default=None, help="hard VIF cap (default 10)")
-    fit.add_argument("--max-terms", type=int, default=None, help="largest subset size (default 8)")
+    fit.add_argument("--varsigma", type=float, default=None,
+                     help=f"independence limit (default {defaults.varsigma})")
+    fit.add_argument("--vif-cap", type=float, default=None,
+                     help=f"hard VIF cap (default {defaults.vif_cap:g})")
+    fit.add_argument("--max-terms", type=int, default=None,
+                     help=f"largest subset size (default {defaults.max_subset_size})")
     fit.add_argument(
         "--search",
         choices=["exhaustive", "greedy_forward"],
         default=None,
-        help="subset search mode (default exhaustive)",
+        help=f"subset search mode (default {defaults.search_mode})",
     )
     fit.add_argument("--baseline", action="store_true", default=None,
                      help="also fit the best subset of the raw columns")
     fit.add_argument("--seed", type=int, default=None,
-                     help="echoed into the report as config.seed; nothing random uses it (default 0)")
+                     help="echoed into the report as config.seed; nothing random uses it "
+                          f"(default {defaults.seed})")
     fit.add_argument("--out-dir", default=None, help="directory for report and CSVs (default '.')")
     fit.add_argument("--stable-output", action="store_true", default=None,
                      help="omit timing so identical runs are byte-identical")
@@ -126,20 +135,39 @@ def _build_parser() -> _Parser:
     dict_cmd = commands.add_parser("dict", help="emit the term census for a CSV as JSON")
     dict_cmd.add_argument("--input", required=True)
     dict_cmd.add_argument("--response", required=True)
-    dict_cmd.add_argument("--alpha", type=int, default=2)
-    dict_cmd.add_argument("--mixture", type=int, default=2)
+    dict_cmd.add_argument("--alpha", type=int, default=defaults.alpha)
+    dict_cmd.add_argument("--mixture", type=int, default=defaults.mixture_m)
     dict_cmd.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     return parser
 
 
-def _resolve(args, config: dict, key: str, default):
+def _resolve(args, config: dict, key: str, default=None):
     flag = getattr(args, key.replace("-", "_"))
     if flag is not None:
         return flag
     if key in config:
         return config[key]
     return default
+
+
+# Fit flags (and config-file keys) by the ImportanceRule and SelectionConfig
+# field they set; a field no flag sets keeps its dataclass default.
+_RULE_FIELDS = {"delta-mode": "mode", "delta": "value"}
+_CONFIG_FIELDS = {
+    "alpha": "alpha",
+    "mixture": "mixture_m",
+    "varsigma": "varsigma",
+    "vif-cap": "vif_cap",
+    "max-terms": "max_subset_size",
+    "search": "search_mode",
+    "seed": "seed",
+}
+
+
+def _given(args, config: dict, flags: dict) -> dict:
+    values = {name: _resolve(args, config, key) for key, name in flags.items()}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _print_model(title: str, section: dict) -> None:
@@ -166,27 +194,15 @@ def _cmd_fit(args) -> int:
             print(f"parseal fit: error: {err}", file=sys.stderr)
             return 1
 
-    input_path = _resolve(args, config, "input", None)
-    response = _resolve(args, config, "response", None)
+    input_path = _resolve(args, config, "input")
+    response = _resolve(args, config, "response")
     if input_path is None or response is None:
         print("parseal fit: error: --input and --response are required", file=sys.stderr)
         return 1
 
     try:
-        rule = ImportanceRule(
-            mode=_resolve(args, config, "delta-mode", "relative"),
-            value=_resolve(args, config, "delta", 0.5),
-        )
-        cfg = SelectionConfig(
-            alpha=_resolve(args, config, "alpha", 2),
-            mixture_m=_resolve(args, config, "mixture", 2),
-            importance=rule,
-            varsigma=_resolve(args, config, "varsigma", 0.8),
-            vif_cap=_resolve(args, config, "vif-cap", 10.0),
-            max_subset_size=_resolve(args, config, "max-terms", 8),
-            search_mode=_resolve(args, config, "search", "exhaustive"),
-            seed=_resolve(args, config, "seed", 0),
-        )
+        rule = ImportanceRule(**_given(args, config, _RULE_FIELDS))
+        cfg = SelectionConfig(importance=rule, **_given(args, config, _CONFIG_FIELDS))
     except ValueError as err:
         print(f"parseal fit: error: {err}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ pinned by the generator's published algorithm.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -77,50 +78,54 @@ def load_csv(path, response: str) -> Dataset:
 
     Every non-response column becomes an input variable, in header order.
     Cells must parse as finite decimals; the offending row and column are
-    named otherwise.
+    named otherwise.  The file is read as UTF-8, with or without a leading
+    byte-order mark.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("CSV file is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DuplicateHeader(f"duplicate header fields: {dupes}")
-        if response not in header:
-            raise MissingResponse(
-                f"response column {response!r} not found in header {header}"
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"CSV file is not UTF-8 text ({err.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("CSV file is empty") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DuplicateHeader(f"duplicate header fields: {dupes}")
+    if response not in header:
+        raise MissingResponse(
+            f"response column {response!r} not found in header {header}"
+        )
+    response_idx = header.index(response)
+    rows = []
+    for row_number, row in enumerate(reader):
+        if len(row) != len(header):
+            raise ParseError(
+                f"row {row_number} has {len(row)} cells, expected {len(header)}",
+                row=row_number,
             )
-        response_idx = header.index(response)
-        rows = []
-        for row_number, row in enumerate(reader):
-            if len(row) != len(header):
+        parsed = []
+        for col_name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"row {row_number} has {len(row)} cells, expected {len(header)}",
+                    f"row {row_number}, column {col_name!r}: "
+                    f"cannot parse {cell!r} as a number",
                     row=row_number,
+                    col=col_name,
+                ) from None
+            if not math.isfinite(value):
+                raise NonFinite(
+                    f"row {row_number}, column {col_name!r}: non-finite value {cell!r}",
+                    row=row_number,
+                    col=col_name,
                 )
-            parsed = []
-            for col_name, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"row {row_number}, column {col_name!r}: "
-                        f"cannot parse {cell!r} as a number",
-                        row=row_number,
-                        col=col_name,
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonFinite(
-                        f"row {row_number}, column {col_name!r}: non-finite value {cell!r}",
-                        row=row_number,
-                        col=col_name,
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-
+            parsed.append(value)
+        rows.append(parsed)
     if len(rows) < 3:
         raise InsufficientData(f"need at least three data rows, got {len(rows)}")
     table = np.asarray(rows, dtype=np.float64)
@@ -135,7 +140,7 @@ def load_csv(path, response: str) -> Dataset:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset so that ``load_csv`` reproduces it bit for bit."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.variable_names) + [dataset.response_name])
         for i in range(dataset.n):

@@ -221,10 +221,11 @@ class Dictionary:
     factors is padded with an all-ones factor row, which changes no bit
     (``x * 1.0 == x``).  ``_form`` gathers and multiplies them.
 
-    So the term rows are formed on demand: ``blocks`` streams all of them,
-    ``subset`` forms only the requested ones, and no (n, T) matrix of every
-    term has to exist.  A dictionary made from a matrix is the case of one
-    factor row per term.
+    So the term rows are formed only when they are read: ``blocks`` streams
+    them, ``subset`` is a view that shares the factor rows and takes the
+    requested rows of the recipe, and no (n, T) matrix of every term has to
+    exist.  A dictionary made from a matrix is the case of one factor row
+    per term.
 
     Parameters
     ----------
@@ -272,52 +273,42 @@ class Dictionary:
 
     @property
     def columns(self) -> np.ndarray:
-        """The (n, T) matrix of every term, formed on first access and kept."""
+        """The read-only (n, T) matrix of every term, formed on first access and kept.
+
+        It is the transpose of a (T, n) array filled from ``blocks``: an
+        F-ordered matrix, the layout numpy's fancy-index copy of a matrix
+        gives.
+        """
         if self._columns is None:
-            self._columns = self._formed(self._recipe).T
+            rows = np.empty((len(self), self.n))
+            for index, block in self.blocks():
+                rows[index] = block
+            rows.setflags(write=False)
+            self._columns = rows.T
         return self._columns
 
     def keys(self) -> list:
         return [t.key for t in self.terms]
 
-    def labels(self) -> list:
-        return [format_term(t, self.source_labels) for t in self.terms]
-
-    def column(self, i: int) -> np.ndarray:
-        return _form(self._factor_rows, self._recipe[[i]])[0]
-
     def blocks(self):
         """(term indices, (k, n) rows) of every term, a block at a time.
 
-        Blocks come in key order, each holding the C-contiguous rows of the
-        next ``_BLOCK_ROWS`` terms.
+        Blocks come in the dictionary's order, each holding the
+        C-contiguous rows of the next ``_BLOCK_ROWS`` terms.
         """
         for start in range(0, len(self), _BLOCK_ROWS):
             block = _form(self._factor_rows, self._recipe[start:start + _BLOCK_ROWS])
             yield np.arange(start, start + len(block)), block
 
-    def _formed(self, recipe) -> np.ndarray:
-        """The read-only (k, n) rows of ``recipe``'s terms, formed a block at a time."""
-        rows = np.empty((len(recipe), self.n))
-        for start in range(0, len(recipe), _BLOCK_ROWS):
-            rows[start:start + _BLOCK_ROWS] = _form(
-                self._factor_rows, recipe[start:start + _BLOCK_ROWS]
-            )
-        rows.setflags(write=False)
-        return rows
-
     def subset(self, indices) -> "Dictionary":
-        """The requested terms, with only their rows formed.
-
-        ``columns`` is the transpose of the (k, n) rows: an F-ordered (n, k)
-        array, the layout numpy's fancy-index copy of a matrix gives.
-        """
+        """A view of the requested terms: the same factor rows, and no row formed."""
         indices = list(indices)
-        return Dictionary(
-            terms=tuple(self.terms[i] for i in indices),
-            columns=self._formed(self._recipe[indices]).T,
-            source_labels=self.source_labels,
-            census=None,
+        return Dictionary._of_recipe(
+            tuple(self.terms[i] for i in indices),
+            self._factor_rows,
+            self._recipe[indices],
+            self.source_labels,
+            None,
         )
 
 

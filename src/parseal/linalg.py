@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptyMatrix, LengthMismatch, NonFinite, RankDeficient
+from .errors import EmptyMatrix, NonFinite
 
 # Relative threshold on the pivoted R diagonal used for rank detection.
 RANK_TOL = 1e-10
@@ -79,13 +79,6 @@ class QRFactorization:
     rank: int
 
 
-@dataclass(frozen=True)
-class LstSqSolution:
-    coefficients: np.ndarray
-    rank: int
-    residual_sum_squares: float
-
-
 def qr_factorize(x: DesignMatrix) -> QRFactorization:
     """Column-pivoted economic QR with a relative-diagonal rank estimate."""
     q, r, pivot = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
@@ -97,58 +90,15 @@ def qr_factorize(x: DesignMatrix) -> QRFactorization:
     return QRFactorization(q=q, r=r, pivot=pivot, rank=rank)
 
 
-def _check_response(x: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise LengthMismatch(f"response must be 1-d, got shape {y.shape}")
-    if y.shape[0] != x.n:
-        raise LengthMismatch(f"response has {y.shape[0]} rows but the design has {x.n}")
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("response contains NaN or infinite entries")
-    return y
+def _solve_from_factorization(fact: QRFactorization, x: DesignMatrix, y: np.ndarray):
+    """Back-substitute a full-rank factorization; caller has checked the rank.
 
-
-def _solve_from_factorization(fact: QRFactorization, x: DesignMatrix, y: np.ndarray) -> LstSqSolution:
-    """Back-substitute a full-rank factorization; caller has checked the rank."""
+    Returns the coefficients, in the design's column order, and the residual
+    vector ``y - X b``.
+    """
     k = x.k
     rhs = fact.q.T @ y
     beta_pivoted = scipy.linalg.solve_triangular(fact.r[:k, :k], rhs[:k])
     coefficients = np.empty(k)
     coefficients[fact.pivot] = beta_pivoted
-    residual = y - x.values @ coefficients
-    return LstSqSolution(
-        coefficients=coefficients,
-        rank=fact.rank,
-        residual_sum_squares=float(residual @ residual),
-    )
-
-
-def solve_least_squares(x: DesignMatrix, y: np.ndarray) -> LstSqSolution:
-    """Minimize ||y - X b||_2 for a full-column-rank design.
-
-    Parameters
-    ----------
-    x : DesignMatrix
-        Design with n >= k.
-    y : ndarray, shape (n,)
-        Response vector.
-
-    Returns
-    -------
-    LstSqSolution
-        Coefficients in original column order, the detected rank, and the
-        residual sum of squares computed from the explicit residual vector.
-
-    Raises
-    ------
-    RankDeficient
-        If the detected rank is below the column count.  A duplicated column
-        is reported as an error, never silently resolved.
-    NonFinite
-        If the design or response contains NaN/inf.
-    """
-    y = _check_response(x, y)
-    fact = qr_factorize(x)
-    if fact.rank < x.k:
-        raise RankDeficient(fact.rank)
-    return _solve_from_factorization(fact, x, y)
+    return coefficients, y - x.values @ coefficients

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,8 +65,8 @@ def _model_section(model: SelectedModel, source_labels, search_mode: str) -> dic
         "coefficients": [float(c) for c in fit.coefficients],
         "intercept": float(fit.coefficients[0]),
         "std_errors": [float(s) for s in fit.std_errors],
-        "t_stats": [float(t) for t in fit.t_stats],
-        "p_values": [float(p) for p in fit.p_values],
+        "t_stats": [_float_or_none(t) for t in fit.t_stats],
+        "p_values": [_float_or_none(p) for p in fit.p_values],
         "p_values_display": [format_p_value(float(p)) for p in fit.p_values],
         "vifs": [float(v) for v in fit.vifs],
         "r_squared": float(fit.r_squared),
@@ -115,17 +115,7 @@ class RunReport:
     timing: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool": self.tool,
-            "version": self.version,
-            "config": self.config,
-            "dictionary": self.dictionary,
-            "screening": self.screening,
-            "selected_model": self.selected_model,
-            "baseline_model": self.baseline_model,
-            "timing": self.timing,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
@@ -133,17 +123,7 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         data = json.loads(text)
-        return cls(
-            schema_version=data["schema_version"],
-            tool=data["tool"],
-            version=data["version"],
-            config=data["config"],
-            dictionary=data["dictionary"],
-            screening=data["screening"],
-            selected_model=data["selected_model"],
-            baseline_model=data["baseline_model"],
-            timing=data["timing"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _write_text(path, text: str) -> None:

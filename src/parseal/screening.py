@@ -7,12 +7,11 @@ candidate only if its absolute correlation with every already-kept column
 stays at or below the independence limit varsigma, so a weaker near-duplicate
 always loses to the stronger column that made it redundant.
 
-Both filters emit subsequences of their input dictionary: kept columns stay
-in dictionary order and every drop is recorded in the report.  Each filter
-centers its input's rows once, a block at a time, and makes one
-``pearson_correlation`` call per correlation.  The importance filter never
-holds more than a block of the dictionary's rows; it forms the survivors'
-rows again for the stage after it.
+Both filters emit subsequences of their input dictionary, as views that form
+no rows: kept columns stay in dictionary order and every drop is recorded in
+the report.  Each filter forms and centers its input's rows once, a block at
+a time, and makes one ``pearson_correlation`` call per correlation, so the
+importance filter never holds more than a block of the dictionary's rows.
 """
 
 from __future__ import annotations

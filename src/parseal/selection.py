@@ -141,9 +141,9 @@ def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float)
                     return None
             except (PerfectCollinearity, ZeroVariance):
                 return None
-        solution = _solve_from_factorization(fact, design, y)
+        _, residual = _solve_from_factorization(fact, design, y)
         k = len(combo)
-        r2 = 1.0 - solution.residual_sum_squares / tss
+        r2 = 1.0 - float(residual @ residual) / tss
         return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
     return score

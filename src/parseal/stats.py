@@ -262,14 +262,15 @@ def p_value_two_sided(t: float, df: int) -> float:
     """Two-sided Student-t tail probability via the incomplete beta.
 
     ``p = I_x(df/2, 1/2)`` with ``x = df / (df + t^2)``.  ``t == 0`` returns
-    exactly 1.  Values below 1e-300 clamp to 0 (rendered "<1e-300" in
+    exactly 1 and an infinite ``t`` returns 0; an undefined (NaN) ``t``
+    gives NaN.  Values below 1e-300 clamp to 0 (rendered "<1e-300" in
     reports).
     """
     if not isinstance(df, (int, np.integer)) or df < 1:
         raise InvalidDf(f"degrees of freedom must be a positive integer, got {df!r}")
     t = float(t)
     if not math.isfinite(t):
-        raise NonFinite("t statistic is not finite")
+        return 0.0 if math.isinf(t) else math.nan
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)
@@ -281,6 +282,8 @@ def p_value_two_sided(t: float, df: int) -> float:
 
 def format_p_value(p: float) -> str:
     """Render a p-value for reports, honoring the underflow clamp."""
+    if math.isnan(p):
+        return "undefined"
     if p == 0.0:
         return "<1e-300"
     return repr(float(p))
@@ -325,9 +328,7 @@ def ols_fit(x: DesignMatrix, y, term_labels=None) -> ModelFit:
     fact = qr_factorize(x)
     if fact.rank < k_plus_1:
         raise RankDeficient(fact.rank)
-    solution = _solve_from_factorization(fact, x, y)
-    beta = solution.coefficients
-    residuals = y - x.values @ beta
+    beta, residuals = _solve_from_factorization(fact, x, y)
     rss = float(residuals @ residuals)
     centered = y - y.mean()
     tss = float(centered @ centered)
@@ -348,8 +349,10 @@ def ols_fit(x: DesignMatrix, y, term_labels=None) -> ModelFit:
     diag[fact.pivot] = diag_pivoted
     std_errors = np.sqrt(sigma2 * diag)
 
-    with np.errstate(divide="ignore"):
-        t_stats = np.where(std_errors > 0.0, beta / std_errors, np.inf * np.sign(beta))
+    # An exact fit has zero standard errors: t is infinite for a nonzero
+    # coefficient and undefined (NaN) for a zero one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = beta / std_errors
     p_values = np.array([p_value_two_sided(float(t), dof) for t in t_stats])
 
     if term_labels is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parseal import Dataset, load_csv, synth_example1, synth_example2, write_csv
+from parseal.cli import main
 from parseal.errors import (
     DuplicateHeader,
     InsufficientData,
@@ -126,6 +127,31 @@ def test_load_csv_error_reporting(tmp_path):
     short.write_text("a,y\n1,2\n3,4\n")
     with pytest.raises(InsufficientData):
         load_csv(short, response="y")
+
+
+def test_load_csv_reads_utf8_with_a_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading BOM.
+    path = tmp_path / "excel.csv"
+    path.write_bytes("\ufeffy,gr\u00f6\u00dfe\n1,2\n3,4\n5,7\n".encode("utf-8"))
+    ds = load_csv(path, response="y")
+    assert ds.variable_names == ("gr\u00f6\u00dfe",)
+    np.testing.assert_array_equal(ds.response, [1.0, 3.0, 5.0])
+    again = tmp_path / "again.csv"
+    write_csv(ds, again)
+    assert again.read_bytes().startswith("gr\u00f6\u00dfe,y\r\n".encode("utf-8"))
+    back = load_csv(again, response="y")
+    assert back.variable_names == ds.variable_names
+    assert back.columns.tobytes() == ds.columns.tobytes()
+
+
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,y\n1,2\n3,4\n5,6\n7,8\n".encode("utf-8") + b"9\xff,10\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(path, response="y")
+    assert main(["fit", "--input", str(path), "--response", "y"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parseal fit: error") and err.count("\n") == 1
 
 
 def test_write_csv_uses_shortest_round_trip_reprs(tmp_path):

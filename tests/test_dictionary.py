@@ -17,15 +17,18 @@ from parseal import (
     Dataset,
     Dictionary,
     Factor,
+    ImportanceRule,
     TermExpr,
     admissible_factors,
     build_dictionary,
     canonical_key,
     evaluate_term,
     format_term,
+    importance_filter,
     synth_example1,
     write_csv,
 )
+from parseal import dictionary
 from parseal.cli import main
 from parseal.dictionary import IDENTITY, LOG
 from parseal.errors import DictionaryTooLarge, DomainViolation, NonFinite
@@ -373,8 +376,8 @@ def test_dictionary_subset_and_labels():
     sub = d.subset([2, 0])
     assert sub.keys() == [d.keys()[2], d.keys()[0]]
     np.testing.assert_array_equal(sub.columns[:, 0], d.columns[:, 2])
-    assert len(d.labels()) == len(d)
-    assert "1/a" in d.labels()
+    labels = [format_term(t, d.source_labels) for t in d.terms]
+    assert "1/a" in labels
 
 
 def test_build_dictionary_validation():
@@ -565,7 +568,6 @@ def test_term_rows_are_formed_on_demand_with_the_matrix_bits():
     assert (seen == 1).all()
     picks = [7, 3, len(d) - 1, 3]
     assert d.subset(picks).columns.tobytes() == matrix[:, picks].tobytes()
-    assert d.column(11).tobytes() == matrix[:, 11].tobytes()
     assert d.columns.tobytes() == matrix.tobytes()
     assert not d.columns.flags.writeable
 
@@ -582,6 +584,32 @@ def test_a_matrix_dictionary_is_one_factor_row_per_term():
     assert d.subset([2, 0]).columns.tobytes() == columns[:, [2, 0]].tobytes()
     with pytest.raises(ValueError):
         Dictionary(terms=terms, columns=columns[:, :3], source_labels=tuple("abcd"))
+
+
+def test_subsets_and_importance_form_no_rows(monkeypatch):
+    ds = synth_example1(40, seed=8)
+    d = build_dictionary(ds, alpha=2, mixture=3)
+    formed = []  # the row count of every _form call
+    real = dictionary._form
+    monkeypatch.setattr(dictionary, "_form", lambda f, r: formed.append(len(r)) or real(f, r))
+    sub = d.subset(range(0, len(d), 3)).subset([4, 0, 9])
+    assert formed == [] and len(sub) == 3
+    result = importance_filter(d, ds.response, ImportanceRule("relative", 0.5))
+    # Each dictionary row is formed once, to be screened; the survivors' none.
+    assert sum(formed) == len(d) and 0 < len(result.dictionary) < len(d)
+
+
+def test_a_view_of_a_view_reads_the_parents_bits():
+    d = build_dictionary(synth_example1(50, seed=9), alpha=2, mixture=3)
+    outer = [len(d) - 1, 40, 3, 77, 3, 12, 0] + list(range(100, 180))
+    inner = [5, 0, 1, 60, 4, 2, 4]
+    picks = [outer[i] for i in inner]
+    view = d.subset(outer).subset(inner)
+    assert view.terms == tuple(d.terms[i] for i in picks)
+    assert view.columns.tobytes(order="A") == d.columns[:, picks].tobytes(order="A")
+    assert view.columns.flags.f_contiguous and not view.columns.flags.writeable
+    rows = np.concatenate([block for _, block in view.blocks()])
+    assert rows.tobytes() == np.ascontiguousarray(d.columns[:, picks].T).tobytes()
 
 
 def _dict_heavy_shaped():

@@ -316,6 +316,27 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
     assert "[screening]" in capsys.readouterr().err
 
 
+def test_cli_exact_fits_report_infinite_and_undefined_t(tmp_path, capsys):
+    # y = 1 + 2a exactly: the standard errors come out 0 (or within rounding
+    # of it), and the run must not die on an infinite t.
+    exact = tmp_path / "exact.csv"
+    exact.write_text("a,b,y\n4,0.3,9\n3,1.7,7\n0,-0.2,1\n3,0.9,7\n-4,2.2,-7\n1,-1.1,3\n")
+    # y = 2x, fitted without rounding: the intercept is exactly 0, so its t
+    # is 0/0, and the slope's t is infinite.
+    zero = tmp_path / "zero.csv"
+    zero.write_text("x,y\n4,8\n0,0\n0,0\n0,0\n0,0\n")
+    for path in (exact, zero):
+        out = tmp_path / path.stem
+        assert main(["fit", "--input", str(path), "--response", "y", "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        model = RunReport.from_json((out / "report.json").read_text()).selected_model
+    assert "(p <1e-300)" in captured.out
+    assert model["std_errors"] == [0.0, 0.0] and model["t_stats"] == [None, None]
+    assert model["p_values"] == [None, 0.0]
+    assert model["p_values_display"] == ["undefined", "<1e-300"]
+
+
 def test_cli_config_file_with_flag_override(example1_csv, tmp_path, capsys):
     out = tmp_path / "cfg_run"
     cfg = tmp_path / "run.conf"

@@ -16,7 +16,7 @@ from parseal import (
     synth_example1,
     vif,
 )
-from parseal.stats import center, center_rows
+from parseal.stats import center, center_rows, format_p_value
 from parseal.errors import (
     InsufficientData,
     InvalidDf,
@@ -269,6 +269,22 @@ def test_ols_insufficient_data_and_rank_errors():
     dup = np.column_stack([col, col])
     with pytest.raises(RankDeficient):
         ols_fit(DesignMatrix.with_intercept(dup), rng.normal(size=20))
+
+
+def test_ols_exact_fit_has_infinite_or_undefined_t_statistics():
+    # Zero residuals make every standard error 0: a nonzero coefficient's t
+    # is infinite (p = 0) and a zero coefficient's is 0/0 (t and p NaN).
+    # No numpy warning may escape.  x is pivoted first and its Householder
+    # reflection is the identity, so every step of this fit is exact.
+    x = np.array([4.0, 0.0, 0.0, 0.0, 0.0])
+    fit = ols_fit(DesignMatrix.with_intercept(x), 2.0 * x)
+    assert fit.coefficients.tolist() == [0.0, 2.0]
+    assert fit.residuals.tolist() == [0.0] * 5
+    assert fit.std_errors.tolist() == [0.0, 0.0]
+    assert math.isnan(fit.t_stats[0]) and fit.t_stats[1] == math.inf
+    assert math.isnan(fit.p_values[0]) and fit.p_values[1] == 0.0
+    assert [format_p_value(p) for p in fit.p_values] == ["undefined", "<1e-300"]
+    assert p_value_two_sided(-math.inf, 3) == 0.0
 
 
 # ---------------------------------------------------------------------------
