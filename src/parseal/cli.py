@@ -51,7 +51,7 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 def _read_config(path) -> dict:
     """Flat key/value file mirroring the fit flags; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -9,9 +9,12 @@ always loses to the stronger column that made it redundant.
 
 Both filters emit subsequences of their input dictionary, as views that form
 no rows: kept columns stay in dictionary order and every drop is recorded in
-the report.  Each filter forms and centers its input's rows once, a block at
-a time, and makes one ``pearson_correlation`` call per correlation, so the
-importance filter never holds more than a block of the dictionary's rows.
+the report.  Each filter forms and centers its input's rows a block at a
+time and takes each |corr(z_j, y)| from the dot products
+``pearson_correlation`` would make, with no call per correlation.  The
+redundancy sweep scores each candidate against every kept column with one
+matrix-vector product, and ``pearson_correlation`` decides only the pairs
+that product cannot certify below varsigma by its rounding bound.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .errors import AllColumnsDropped, ZeroVariance
-from .stats import center, center_rows, pearson_correlation
+from .errors import AllColumnsDropped, LengthMismatch, NonFinite, ZeroVariance
+from .gram import _U, _gamma
+from .stats import CenteredColumn, center, pearson_correlation
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,16 @@ class ImportanceResult:
     dropped: tuple
     delta_effective: float
     max_abs_corr: float
+    correlations: int  # one per term
+    referee_calls: int  # pearson_correlation calls
 
 
 @dataclass(frozen=True)
 class RedundancyResult:
     dictionary: Dictionary
     dropped: tuple
+    correlations: int  # one per survivor, and each pair up to its eliminator
+    referee_calls: int
 
 
 @dataclass(frozen=True)
@@ -79,23 +87,60 @@ class ScreeningReport:
     delta_effective: float
     max_abs_corr: float
     varsigma: float
+    correlations: int  # both stages; not in the JSON report
+    referee_calls: int
 
 
-def _centered_columns(z: Dictionary):
-    """A CenteredColumn of every column of ``z``, in order, centered a block at a time."""
-    for _, block in z.blocks():
-        yield from center_rows(block)
+# The sweep certifies that a pair eliminates nothing when its |corr| from the
+# matrix-vector product lies below varsigma - band.  The referee divides a
+# ddot of the same two rows by the same norm product S.  A length-n inner
+# product errs by at most gamma(n) ||a|| ||b|| in any summation order (Higham,
+# ASNA 2nd ed., eq. 3.5), and each computed norm by gamma(n) / 2 + u relative,
+# so the quotients differ by at most 2 gamma(n) (1 + gamma(n + 4)); the
+# divides, the clip and varsigma - band add 4 u, and 4 u more cover underflow.
+# Rows with a norm outside [_TINY, _HUGE], whose dots may over- or underflow,
+# always go to the referee.
+_TINY, _HUGE = 2.0**-400, 2.0**500
 
 
-def _abs_corr(column, yc):
-    """|corr(column, y)|; None marks an undefined or non-finite correlation."""
-    try:
-        r = pearson_correlation(column, yc)
-    except ZeroVariance:
-        return None
-    return abs(r) if math.isfinite(r) else None
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
+    """Norms of the centered rows of ``z``, and their |corr| with ``y``.
+
+    Each block is centered as ``center_rows`` centers it and each row takes
+    the ddots ``pearson_correlation`` takes, so every value has the referee's
+    bits.  NaN marks a correlation the referee leaves undefined (a norm
+    product outside (0, inf)); a NaN quotient clips to -1, as
+    ``min(1, max(-1, nan))`` does.  ``rows``, if given, receives the centered
+    rows; no other centered row outlives its block.
+    """
+    yc = center(y, "response")
+    if z.n != yc.values.shape[0]:
+        raise LengthMismatch(f"vectors have lengths {z.n} and {yc.values.shape[0]}")
+    squares = np.empty(len(z))
+    products = np.empty(len(z))
+    for index, block in z.blocks():
+        centered = block - block.mean(axis=1)[:, None]
+        i = index[0]
+        for row in centered:
+            squares[i] = row.dot(row)
+            products[i] = row.dot(yc.values)
+            i += 1
+        # A finite row gives a NaN norm only when its sum overflows both ways.
+        nan = np.isnan(squares[index])
+        if nan.any() and not np.isfinite(block[nan]).all():
+            raise NonFinite("vector contains NaN or infinite entries")
+        if rows is not None:
+            rows[index] = centered
+    norms = np.sqrt(squares)
+    scale = norms * yc.norm
+    r = products / scale
+    r = np.abs(np.where(np.isnan(r), -1.0, np.clip(r, -1.0, 1.0)))
+    r[~((scale > 0.0) & (scale < math.inf))] = math.nan
+    return norms, r
 
 
+@np.errstate(invalid="ignore")  # NaN marks an undefined |corr|
 def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> ImportanceResult:
     """Keep columns whose |corr(z_j, y)| clears the importance limit.
 
@@ -115,70 +160,79 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     y = np.asarray(y, dtype=np.float64)
     if float(np.std(y)) == 0.0:
         raise ZeroVariance("response is constant; correlations are undefined")
-    yc = center(y, "response")
-    corrs = [_abs_corr(column, yc) for column in _centered_columns(z)]
-    finite = [c for c in corrs if c is not None]
-    max_abs = max(finite) if finite else 0.0
+    _, corrs = _abs_corrs(z, y)
+    max_abs = float(corrs[~np.isnan(corrs)].max(initial=0.0))
     threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
 
-    kept_idx = []
-    dropped = []
-    for i, c in enumerate(corrs):
-        if c is None:
-            dropped.append(UnimportantDrop(z.terms[i], float("nan"), "non_finite_correlation"))
-        elif c >= threshold:
-            kept_idx.append(i)
-        else:
-            dropped.append(UnimportantDrop(z.terms[i], c))
-    if not kept_idx:
+    kept = corrs >= threshold
+    if not kept.any():
         raise AllColumnsDropped(max_abs)
+    dropped = tuple(
+        UnimportantDrop(t, math.nan, "non_finite_correlation") if math.isnan(c) else UnimportantDrop(t, c)
+        for t, c, k in zip(z.terms, corrs.tolist(), kept.tolist()) if not k
+    )
     return ImportanceResult(
-        dictionary=z.subset(kept_idx),
-        dropped=tuple(dropped),
+        dictionary=z.subset(np.flatnonzero(kept).tolist()),
+        dropped=dropped,
         delta_effective=threshold,
         max_abs_corr=max_abs,
+        correlations=len(z),
+        referee_calls=0,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> RedundancyResult:
     """Greedy pairwise-redundancy sweep at independence limit ``varsigma``.
 
     Candidates are ranked by |corr(z_j, y)| descending (ties on the canonical
     key, ascending) and kept iff their |corr| with every already-kept column
     is <= varsigma; a pair whose correlation is undefined (NaN) eliminates
-    nothing.  Each drop records the kept column that eliminated it.  The
-    returned dictionary lists survivors in their original order.
+    nothing.  Each drop records the kept column that eliminated it, with the
+    exact |corr| of ``pearson_correlation``.  The returned dictionary lists
+    survivors in their original order.
     """
     if not (0.0 < varsigma < 1.0):
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
     if len(z1) == 0:
         raise AllColumnsDropped(0.0)
-    y = np.asarray(y, dtype=np.float64)
-    yc = center(y, "response")
-    centered = list(_centered_columns(z1))
-    corrs = [_abs_corr(column, yc) for column in centered]
+    rows = np.empty((len(z1), z1.n))
+    norms, corrs = _abs_corrs(z1, y, rows)
+    rank = np.nan_to_num(corrs, nan=-1.0).tolist()
     keys = z1.keys()
-    order = sorted(
-        range(len(z1)),
-        key=lambda i: (-(corrs[i] if corrs[i] is not None else -1.0), keys[i]),
-    )
+    order = sorted(range(len(z1)), key=lambda i: (-rank[i], keys[i]))
 
+    limit = varsigma - (2.0 * _gamma(z1.n) * (1.0 + _gamma(z1.n + 4)) + 8.0 * _U)
+    # A NaN norm sends every pair with its row to the referee.
+    fast_norms = np.where((norms >= _TINY) & (norms <= _HUGE), norms, math.nan)
+    columns = [CenteredColumn(row, norm) for row, norm in zip(rows, norms.tolist())]
     kept = []  # indices in sweep order
+    kept_rows = np.empty_like(rows)  # their rows; pages past the kept ones stay untouched
+    kept_norms = np.empty(len(z1))
     dropped = []
+    correlations = len(z1)
+    referee_calls = 0
     for i in order:
-        eliminated_by = None
-        pairwise = 0.0
-        for j in kept:
-            r = abs(pearson_correlation(centered[i], centered[j]))
+        t = len(kept)
+        approx = np.abs(kept_rows[:t] @ rows[i]) / (kept_norms[:t] * fast_norms[i])
+        for position in np.flatnonzero(~(approx < limit)).tolist():
+            referee_calls += 1
+            r = abs(pearson_correlation(columns[i], columns[kept[position]]))
             if r > varsigma:
-                eliminated_by = j
-                pairwise = r
+                correlations += position + 1
+                dropped.append(RedundantDrop(z1.terms[i], z1.terms[kept[position]], r))
                 break
-        if eliminated_by is None:
-            kept.append(i)
         else:
-            dropped.append(RedundantDrop(z1.terms[i], z1.terms[eliminated_by], pairwise))
-    return RedundancyResult(dictionary=z1.subset(sorted(kept)), dropped=tuple(dropped))
+            correlations += t
+            kept_rows[t] = rows[i]
+            kept_norms[t] = fast_norms[i]
+            kept.append(i)
+    return RedundancyResult(
+        dictionary=z1.subset(sorted(kept)),
+        dropped=tuple(dropped),
+        correlations=correlations,
+        referee_calls=referee_calls,
+    )
 
 
 def screen(z: Dictionary, y: np.ndarray, rule: ImportanceRule, varsigma: float):
@@ -192,5 +246,7 @@ def screen(z: Dictionary, y: np.ndarray, rule: ImportanceRule, varsigma: float):
         delta_effective=importance.delta_effective,
         max_abs_corr=importance.max_abs_corr,
         varsigma=varsigma,
+        correlations=importance.correlations + redundancy.correlations,
+        referee_calls=importance.referee_calls + redundancy.referee_calls,
     )
     return redundancy.dictionary, report

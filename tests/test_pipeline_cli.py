@@ -365,6 +365,16 @@ def test_cli_config_file_with_flag_override(example1_csv, tmp_path, capsys):
     assert parsed["baseline_model"] is not None
 
 
+def test_cli_config_file_with_a_byte_order_mark(example1_csv, tmp_path, capsys):
+    out = tmp_path / "bom_run"
+    cfg = tmp_path / "bom.conf"
+    text = f"input = {example1_csv}\nresponse = y\nstable-output = yes\nout-dir = {out}\n"
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["fit", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text())["config"]["alpha"] == 2
+
+
 def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.conf"
     cfg.write_text("frobnicate = 3\n")

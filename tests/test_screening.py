@@ -1,6 +1,7 @@
 """Importance and redundancy filters over an evaluated dictionary."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_dictionary import _build_inputs, _dataset, _per_term_build
+from test_dictionary import _build_inputs, _dataset, _dict_heavy_shaped, _per_term_build
 
 from parseal import (
     Dictionary,
@@ -409,7 +410,9 @@ def test_centered_screening_matches_the_per_pair_loops(inputs):
             _, report = screen(z, y, rule, varsigma)
         except AllColumnsDropped as err:
             assert err.max_abs_corr.hex() == expected["all_dropped"]
-            assert counted.call_count == expected["calls"]
+            # Importance decides one correlation per term and calls no referee.
+            assert expected["calls"] == len(z)
+            assert counted.call_count == 0
             return
     key = canonical_key
     assert [key(t) for t in report.kept] == expected["kept"]
@@ -422,7 +425,8 @@ def test_centered_screening_matches_the_per_pair_loops(inputs):
     ] == expected["redundant"]
     assert report.delta_effective.hex() == expected["delta_effective"]
     assert report.max_abs_corr.hex() == expected["max_abs_corr"]
-    assert counted.call_count == expected["calls"]
+    assert report.correlations == expected["calls"]
+    assert counted.call_count == report.referee_calls
 
 
 def test_overflowing_importance_correlation_is_recorded_as_non_finite():
@@ -451,6 +455,76 @@ def test_undefined_pairwise_correlation_eliminates_nothing():
         result = redundancy_filter(z, y, 0.5)
     assert result.dropped == ()
     assert len(result.dictionary) == 2
+
+
+def _screens_like_the_per_pair_loops(x, y, rule, varsigma):
+    """Screen raw columns and assert the per-pair loops' outcome, bits and
+    correlation count; returns the report, or None if every column dropped."""
+    z = raw_dictionary(x)
+    expected = _per_pair_screen(z, y, rule, varsigma)
+    with mock.patch.object(
+        screening, "pearson_correlation", wraps=screening.pearson_correlation
+    ) as counted:
+        try:
+            _, report = screen(z, y, rule, varsigma)
+        except AllColumnsDropped as err:
+            assert err.max_abs_corr.hex() == expected["all_dropped"]
+            return None
+    key = canonical_key
+    assert [key(t) for t in report.kept] == expected["kept"]
+    assert [
+        (key(d.term), "nan" if math.isnan(d.abs_corr) else d.abs_corr.hex(), d.reason)
+        for d in report.dropped_unimportant
+    ] == expected["unimportant"]
+    assert [
+        (key(d.term), key(d.winner), d.abs_corr.hex()) for d in report.dropped_redundant
+    ] == expected["redundant"]
+    assert report.correlations == expected["calls"]
+    assert counted.call_count == report.referee_calls
+    return report
+
+
+def _one_ulp_around(r):
+    """r and its two float neighbours that are valid limits."""
+    return [float(v) for v in (np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)) if 0.0 < v < 1.0]
+
+
+@given(_screen_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_redundancy_at_a_realized_pairwise_correlation_and_one_ulp_off(inputs, data):
+    x, y, _, _ = inputs
+    pairs = [
+        abs(r)
+        for i in range(x.shape[1])
+        for j in range(i)
+        if (r := _reference_corr(x[:, i], x[:, j])) is not None and 0.0 < abs(r) < 1.0
+    ]
+    assume(pairs)
+    r = data.draw(st.sampled_from(pairs))
+    for varsigma in _one_ulp_around(r):
+        _screens_like_the_per_pair_loops(x, y, ImportanceRule("absolute", 0.0), varsigma)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(5, 200),
+    st.sampled_from((1e-8, 1e-4, 1e-2, 0.3, 3.0)),
+    st.sampled_from((1.0, 1.0, 1e-125, 1e152)),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_near_twin_inside_the_band_goes_to_the_referee(seed, n, noise, scale):
+    rng = philox(seed)
+    a = rng.normal(size=n)
+    twin = a + noise * rng.normal(size=n)
+    y = a + rng.normal(size=n)
+    r = _reference_corr(a, twin)
+    assume(0.0 < abs(r) < 1.0)
+    # Scales of 1e-125 and 1e152 put the norms outside the band's range.
+    x = scale * np.column_stack([a, twin])
+    for varsigma in _one_ulp_around(abs(r)):
+        report = _screens_like_the_per_pair_loops(x, y, ImportanceRule("absolute", 0.0), varsigma)
+        # The twin swept second lies within the band of the kept one.
+        assert report.referee_calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +597,9 @@ def test_streamed_screening_matches_the_matrix_path(inputs, data):
                 importance = importance_filter(d, y, rule)
             except AllColumnsDropped as err:
                 assert err.max_abs_corr.hex() == expected["all_dropped"]
-                assert counted.call_count == expected["calls"]
+                # Importance decides one correlation per term and calls no referee.
+                assert expected["calls"] == len(d)
+                assert counted.call_count == 0
                 return
             redundancy = redundancy_filter(importance.dictionary, y, varsigma)
     key = canonical_key
@@ -537,7 +613,8 @@ def test_streamed_screening_matches_the_matrix_path(inputs, data):
     ] == expected["redundant"]
     assert importance.delta_effective.hex() == expected["delta_effective"]
     assert importance.max_abs_corr.hex() == expected["max_abs_corr"]
-    assert counted.call_count == expected["calls"]
+    assert importance.correlations + redundancy.correlations == expected["calls"]
+    assert counted.call_count == importance.referee_calls + redundancy.referee_calls
 
     # Survivors carry the matrix path's bits, in its layout.
     place = {k: i for i, k in enumerate(kept_keys)}
@@ -545,3 +622,18 @@ def test_streamed_screening_matches_the_matrix_path(inputs, data):
         want = reference.columns[:, [place[k] for k in survivors.keys()]]
         assert survivors.columns.strides == want.strides
         assert survivors.columns.tobytes(order="A") == want.tobytes(order="A")
+
+
+def test_importance_holds_no_matrix_of_every_row():
+    ds = _dict_heavy_shaped()
+    z = build_dictionary(ds, alpha=2, mixture=3)
+    tracemalloc.start()
+    try:
+        result = importance_filter(z, ds.response, ImportanceRule("relative", 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.correlations == len(z) == 21_560
+    assert result.referee_calls == 0
+    # A (T, n) matrix of every centered row would take T * n * 8 = 172 MB.
+    assert peak < 0.1 * len(z) * ds.n * 8
