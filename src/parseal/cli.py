@@ -8,13 +8,12 @@ feasibility checks reject the run.  Flags may also be given in a flat
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .data import load_csv, synth_example1, synth_example2, write_csv
 from .dictionary import build_dictionary
 from .errors import ParsealError
-from .pipeline import REPORT_FILE, TOOL_VERSION, run_pipeline
+from .pipeline import REPORT_FILE, TOOL_VERSION, json_text, run_pipeline
 from .screening import ImportanceRule
 from .selection import SelectionConfig
 
@@ -245,11 +244,11 @@ def _cmd_dict(args) -> int:
     except ValueError as err:
         print(f"parseal dict: error: {err}", file=sys.stderr)
         return 1
-    text = json.dumps(z.census.to_dict(), indent=2) + "\n"
+    text = json_text(z.census.to_dict()) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="ascii") as fh:
             fh.write(text)
         print(f"census written to {args.out}")
     return 0

@@ -90,14 +90,91 @@ def _screening_section(report, rule) -> dict:
         "varsigma": float(report.varsigma),
         "kept": [key(t) for t in report.kept],
         "dropped_unimportant": [
-            {"term": key(d.term), "abs_corr": _float_or_none(d.abs_corr), "reason": d.reason}
-            for d in report.dropped_unimportant
+            {"term": key(term), "abs_corr": _float_or_none(c), "reason": reason}
+            for term, c, reason in report.dropped_unimportant
         ],
         "dropped_redundant": [
             {"term": key(d.term), "winner": key(d.winner), "abs_corr": float(d.abs_corr)}
             for d in report.dropped_redundant
         ],
     }
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_ROW_SCALARS = {str: _encode_str, int: int.__repr__, float: float.__repr__}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
+
+    It makes the calls that ``json``'s pure-Python encoder makes for each
+    value, which an indent forces ``json.dumps`` to use, but writes a list of
+    flat dicts with the same str keys, such as the drop records, from one
+    ``str.format`` template filled by C-level ``map``.
+    """
+    return _text(obj, "\n")
+
+
+def _text(obj, nl: str) -> str:
+    """``obj``'s JSON text; ``nl`` is the newline and indent of its own line."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _rows_text(obj, inner) or ("," + inner).join([_text(item, inner) for item in obj])
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_encode_str(_key(k)) + ": " + _text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` coerces it to str."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _rows_text(items, nl: str) -> str | None:
+    """The items of a list of flat dicts with the same str keys in the same
+    order, each key's values all strs, all ints or all finite floats; else None."""
+    first = items[0]
+    if set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}:
+        return None
+    if set(map(tuple, items)) != {tuple(first)}:
+        return None
+    columns = []
+    for key in first:
+        column = [row[key] for row in items]
+        kinds = set(map(type, column))
+        write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
+            return None
+        columns.append(map(write, column))
+    inner = nl + "  "
+    entries = ("," + inner).join(
+        _encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in first
+    )
+    return ("," + nl).join(map(("{{" + inner + entries + nl + "}}").format, *columns))
 
 
 @dataclass(frozen=True)
@@ -118,7 +195,7 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -127,7 +204,7 @@ class RunReport:
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(text)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,9 @@ class ImportanceRule:
             raise ValueError(f"importance value must lie in [0, 1], got {self.value}")
 
 
-@dataclass(frozen=True)
-class UnimportantDrop:
+class UnimportantDrop(NamedTuple):
+    """A term the importance stage dropped; a tuple, as a fit may drop thousands."""
+
     term: object
     abs_corr: float
     reason: str = "below_threshold"
@@ -167,9 +169,10 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     kept = corrs >= threshold
     if not kept.any():
         raise AllColumnsDropped(max_abs)
+    cut = ~kept
     dropped = tuple(
-        UnimportantDrop(t, math.nan, "non_finite_correlation") if math.isnan(c) else UnimportantDrop(t, c)
-        for t, c, k in zip(z.terms, corrs.tolist(), kept.tolist()) if not k
+        UnimportantDrop(z.terms[i], c, "non_finite_correlation" if math.isnan(c) else "below_threshold")
+        for i, c in zip(np.flatnonzero(cut).tolist(), corrs[cut].tolist())
     )
     return ImportanceResult(
         dictionary=z.subset(np.flatnonzero(kept).tolist()),

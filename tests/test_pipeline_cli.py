@@ -1,12 +1,15 @@
 """Run reports, output files, and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parseal import (
     Dataset,
@@ -20,6 +23,7 @@ from parseal import (
 )
 from parseal.cli import main
 from parseal.errors import ParsealError
+from parseal.pipeline import json_text
 
 
 def philox(seed, stream=0):
@@ -141,6 +145,101 @@ def test_pipeline_errors_carry_their_stage():
     with pytest.raises(ParsealError) as exc:
         run_pipeline(ds, cfg)
     assert exc.value.stage == "screening"
+
+
+# ---------------------------------------------------------------------------
+# the report's JSON writer
+# ---------------------------------------------------------------------------
+
+_ADVERSARIAL = ["", "{", "}", "{}", "{0}", "}{", '"', "\\", "\x00", "\x1f", "\n\t", " ", "é", "\U0001f600"]
+_texts = st.text(alphabet=st.sampled_from("ab{}\"\\\x00\x1f\x7fé \U0001f600"), max_size=5) | st.sampled_from(
+    _ADVERSARIAL
+)
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+_scalars = _texts | _floats | _floats.map(np.float64) | st.integers() | st.booleans() | st.none()
+_keys = _texts | st.integers() | _floats | st.booleans() | st.none()
+# json.dumps rejects each of these: NaN and inf as a value or a key, np.int64 anywhere.
+_BAD = [math.nan, math.inf, -math.inf, np.float64("nan"), np.int64(3)]
+
+
+@st.composite
+def _records(draw, bad=False):
+    """A report-style list of flat dicts sharing their str keys, broken in at most one item."""
+    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from([_texts, _floats, st.integers()])) for _ in keys]
+    rows = [{k: draw(c) for k, c in zip(keys, columns)} for _ in range(draw(st.integers(1, 5)))]
+    row = draw(st.sampled_from(rows))
+    key = draw(st.sampled_from(keys))
+    breaks = ["intact", "reorder", "null", "nested", "bool", "np.float64"]
+    how = "bad" if bad and draw(st.booleans()) else draw(st.sampled_from(breaks))
+    if how == "reorder" and len(keys) > 1:
+        items = list(row.items())
+        row.clear()
+        row.update(items[1:] + items[:1])
+    elif how == "null":
+        row[key] = None
+    elif how == "nested":
+        row[key] = draw(st.sampled_from([[], {}, [1.5], {"a": "b"}, (2, "c")]))
+    elif how == "bool":
+        row[key] = draw(st.booleans())
+    elif how == "np.float64":
+        row[key] = np.float64(draw(_floats))
+    elif how == "bad":
+        row[key] = draw(st.sampled_from(_BAD))
+    return rows
+
+
+def _report_shaped(bad=False):
+    """Nested lists, tuples and dicts of scalars and records; ``bad`` mixes in ``_BAD``."""
+    extra = st.sampled_from(_BAD) if bad else st.nothing()
+    return st.recursive(
+        _scalars | extra | _records(bad),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_keys | extra, inner | _records(bad), max_size=4),
+        max_leaves=30,
+    )
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (ValueError, TypeError) as err:
+        return type(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_report_shaped())
+def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_shaped(bad=True))
+def test_json_text_fails_where_json_dumps_fails(obj):
+    assert _outcome(json_text, obj) == _outcome(lambda o: json.dumps(o, indent=2, allow_nan=False), obj)
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+def test_json_text_raises_the_exception_json_dumps_raises(bad):
+    error = TypeError if isinstance(bad, np.int64) else ValueError
+    rows = [{"term": "a", "abs_corr": 0.5}, {"term": "b", "abs_corr": bad}]
+    for obj in (bad, [bad], {"x": bad}, {bad: 1}, rows):
+        with pytest.raises(error):
+            json.dumps(obj, indent=2, allow_nan=False)
+        with pytest.raises(error):
+            json_text(obj)
+
+
+def test_report_bytes_are_json_dumps_bytes(tmp_path):
+    ds = synth_example1(200, seed=6)
+    report = run_pipeline(ds, SelectionConfig(varsigma=0.5), with_baseline=True, out_dir=tmp_path)
+    assert len(report.screening["dropped_unimportant"]) > 100
+    expected = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    assert report.to_json() == expected
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
