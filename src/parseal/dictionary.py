@@ -23,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DictionaryTooLarge, DomainViolation, NonFinite
+from .gram import _U, _gamma
+from .stats import center
 
 # Entries with magnitude at or below this count as zero for admissibility.
 ZERO_TOL = 1e-12
@@ -35,10 +37,14 @@ LOG = "log"
 
 DEFAULT_TERM_BUDGET = 200_000
 
-# Term rows are formed this many at a time, in key order.  On a 21,560-term
-# dictionary, 16-row blocks made the whole fit about 5% slower (the per-call
-# cost of the constant check) and 256-row blocks built 20% slower.
+# Term rows are formed, centered and dotted this many at a time, in key
+# order.  On a 21,560-term dictionary, 16-row blocks made the whole fit about
+# 5% slower (the per-block array calls) and 256-row blocks built 20% slower.
 _BLOCK_ROWS = 32
+
+# Centered-row norms outside [_TINY, _HUGE] may have over- or underflowed in
+# a dot product, so no rounding band decides anything about them.
+_TINY, _HUGE = 2.0**-400, 2.0**500
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,10 @@ class Dictionary:
     exist.  A dictionary made from a matrix is the case of one factor row
     per term.
 
+    A built dictionary also carries ``_dots``: the response, and each term's
+    centered-row norm and dot product with the centered response, from the
+    builder's one pass over the rows; ``subset`` slices them.
+
     Parameters
     ----------
     terms : sequence of TermExpr
@@ -245,24 +255,25 @@ class Dictionary:
             )
         cols.setflags(write=False)
         recipe = np.arange(len(terms))[:, None]
-        self._assign(terms, np.ascontiguousarray(cols.T), recipe, source_labels, census)
+        self._assign(terms, np.ascontiguousarray(cols.T), recipe, source_labels, census, None)
         self._columns = cols
 
     @classmethod
-    def _of_recipe(cls, terms, factor_rows, recipe, source_labels, census):
+    def _of_recipe(cls, terms, factor_rows, recipe, source_labels, census, dots):
         """A dictionary whose term rows are formed from ``factor_rows`` on demand."""
         z = object.__new__(cls)
-        z._assign(terms, factor_rows, recipe, source_labels, census)
+        z._assign(terms, factor_rows, recipe, source_labels, census, dots)
         z._columns = None
         return z
 
-    def _assign(self, terms, factor_rows, recipe, source_labels, census):
+    def _assign(self, terms, factor_rows, recipe, source_labels, census, dots):
         factor_rows.setflags(write=False)
         self.terms = tuple(terms)
         self.source_labels = tuple(source_labels)
         self.census = census
         self._factor_rows = factor_rows
         self._recipe = recipe
+        self._dots = dots
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -296,19 +307,22 @@ class Dictionary:
         Blocks come in the dictionary's order, each holding the
         C-contiguous rows of the next ``_BLOCK_ROWS`` terms.
         """
-        for start in range(0, len(self), _BLOCK_ROWS):
-            block = _form(self._factor_rows, self._recipe[start:start + _BLOCK_ROWS])
+        for start, block in _blocks(self._factor_rows, self._recipe):
             yield np.arange(start, start + len(block)), block
 
     def subset(self, indices) -> "Dictionary":
         """A view of the requested terms: the same factor rows, and no row formed."""
         indices = list(indices)
+        dots = self._dots
+        if dots is not None:
+            dots = (dots[0], dots[1][indices], dots[2][indices])
         return Dictionary._of_recipe(
             tuple(self.terms[i] for i in indices),
             self._factor_rows,
             self._recipe[indices],
             self.source_labels,
             None,
+            dots,
         )
 
 
@@ -325,6 +339,45 @@ def _form(factor_rows: np.ndarray, recipe: np.ndarray) -> np.ndarray:
         for j in range(1, recipe.shape[1]):
             rows *= factor_rows[recipe[:, j]]
     return rows
+
+
+def _blocks(factor_rows: np.ndarray, recipe: np.ndarray):
+    """(first index, (k, n) rows) of the terms of ``recipe``, ``_BLOCK_ROWS`` at a time."""
+    for start in range(0, len(recipe), _BLOCK_ROWS):
+        yield start, _form(factor_rows, recipe[start:start + _BLOCK_ROWS])
+
+
+def _centered_dots(factor_rows: np.ndarray, recipe: np.ndarray, yc: np.ndarray, rows=None):
+    """Row means, ``row.dot(row)`` and ``row.dot(yc)`` of the centered term
+    rows of ``recipe``, and the index of the first row holding a NaN or inf.
+
+    Each block is formed once and centered once, with the bits
+    ``center_rows`` gives and ``np.std`` squares, and each row takes the
+    ddots ``pearson_correlation`` takes.  ``rows``, if given, receives the
+    centered rows.  A non-finite row centers to a NaN, so only rows with a
+    NaN square are formed again to find one.
+    """
+    means = np.empty(len(recipe))
+    squares = np.empty(len(recipe))
+    products = np.empty(len(recipe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, block in _blocks(factor_rows, recipe):
+            stop = start + len(block)
+            means[start:stop] = block.mean(axis=1)
+            centered = block - means[start:stop, None]
+            i = start
+            for row in centered:
+                squares[i] = row.dot(row)
+                products[i] = row.dot(yc)
+                i += 1
+            if rows is not None:
+                rows[start:stop] = centered
+    suspects = np.flatnonzero(np.isnan(squares))
+    for start, block in _blocks(factor_rows, recipe[suspects]):
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            return means, squares, products, int(suspects[start + np.argmax(bad)])
+    return means, squares, products, None
 
 
 def _evaluate_factor(f: Factor, col: np.ndarray) -> np.ndarray:
@@ -405,7 +458,10 @@ def build_dictionary(
     Parameters
     ----------
     dataset : Dataset
-        Anything with an (n, p) ``columns`` array and ``variable_names``.
+        Anything with an (n, p) ``columns`` array, ``variable_names`` and an
+        (n,) ``response``.  The builder's one pass over the term rows also
+        takes each row's centered norm and its dot product with the centered
+        response, which the returned dictionary carries to screening.
     alpha : int
         Largest absolute integer exponent.
     mixture : int
@@ -479,19 +535,31 @@ def build_dictionary(
     order = np.array(sorted(range(candidate_total), key=keys.__getitem__), dtype=np.intp)
     recipe = np.concatenate(recipes)[order]
 
-    # Which terms are finite and which are constant, in key order.  No row
-    # is kept: the dictionary forms them again when they are asked for.
-    finite = np.empty(candidate_total, dtype=bool)
-    constant = np.zeros(candidate_total, dtype=bool)
-    for start in range(0, candidate_total, _BLOCK_ROWS):
-        block = _form(factor_rows, recipe[start:start + _BLOCK_ROWS])
-        span = slice(start, start + len(block))
-        finite[span] = np.isfinite(block).all(axis=1)
-        if finite[span].all():
-            constant[span] = _is_constant(block)
-    if not finite.all():
-        # Raises the error of the lowest-keyed non-finite term.
-        evaluate_term(TermExpr(choices[order[np.argmin(finite)]]), columns)
+    # The one pass that forms the candidates' rows.  _is_constant compares
+    # sd = sqrt(pairwise sum of c * c / n) with t = 1e-12 |mean| + 1e-300.
+    # The pass has the same mean and deviations c, and their ddot; each of
+    # two length-n sums of the same squares lies within gamma(n) of the exact
+    # sum (Higham, ASNA 2nd ed., eq. 3.5), so the norm and sqrt(n) sd differ
+    # by about gamma(n) relative.  A norm further than 2 gamma(n) + 16 u from
+    # t sqrt(n), a band that also covers the sqrts, the divide and the
+    # limit's own rounding, therefore has _is_constant's verdict.  Rows
+    # inside the band, or with a norm that may have under- or overflowed, go
+    # to _is_constant itself.
+    response = np.array(dataset.response, dtype=np.float64)
+    yc = center(response, "response")
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, squares, products, bad = _centered_dots(factor_rows, recipe, yc.values)
+        if bad is not None:
+            # Raises the error of the lowest-keyed non-finite term.
+            evaluate_term(TermExpr(choices[order[bad]]), columns)
+        norms = np.sqrt(squares)
+        limit = (_CONSTANT_SD_REL * np.abs(means) + 1e-300) * math.sqrt(columns.shape[0])
+        band = 2.0 * _gamma(columns.shape[0]) + 16.0 * _U
+        constant = norms < limit
+        clear = (norms < limit * (1.0 - band)) | (norms > limit * (1.0 + band))
+        unclear = np.flatnonzero(~(clear & (norms >= _TINY) & (norms <= _HUGE)))
+    for start, block in _blocks(factor_rows, recipe[unclear]):
+        constant[unclear[start:start + len(block)]] = _is_constant(block)
 
     kept = ~constant
     kept_terms = [TermExpr._of_sorted(choices[e], keys[e]) for e in order[kept].tolist()]
@@ -508,4 +576,5 @@ def build_dictionary(
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
-    return Dictionary._of_recipe(kept_terms, factor_rows, recipe[kept], names, census)
+    dots = (response, norms[kept], products[kept])
+    return Dictionary._of_recipe(kept_terms, factor_rows, recipe[kept], names, census, dots)

@@ -156,7 +156,8 @@ def _key(key) -> str:
 
 def _rows_text(items, nl: str) -> str | None:
     """The items of a list of flat dicts with the same str keys in the same
-    order, each key's values all strs, all ints or all finite floats; else None."""
+    order, each key's values all strs, all ints, or finite floats and Nones;
+    else None."""
     first = items[0]
     if set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}:
         return None
@@ -166,6 +167,13 @@ def _rows_text(items, nl: str) -> str | None:
     for key in first:
         column = [row[key] for row in items]
         kinds = set(map(type, column))
+        if kinds <= {float, type(None)} and type(None) in kinds:
+            # None, written null, stands for an undefined float such as a
+            # non-finite |corr|; filter drops it (and zeros) from the check.
+            if not all(map(math.isfinite, filter(None, column))):
+                return None
+            columns.append(["null" if v is None else float.__repr__(v) for v in column])
+            continue
         write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
             return None

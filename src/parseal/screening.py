@@ -9,10 +9,13 @@ always loses to the stronger column that made it redundant.
 
 Both filters emit subsequences of their input dictionary, as views that form
 no rows: kept columns stay in dictionary order and every drop is recorded in
-the report.  Each filter forms and centers its input's rows a block at a
-time and takes each |corr(z_j, y)| from the dot products
-``pearson_correlation`` would make, with no call per correlation.  The
-redundancy sweep scores each candidate against every kept column with one
+the report.  Each |corr(z_j, y)| comes from the centered row's norm and
+response product, the dot products ``pearson_correlation`` would take, with
+no call per correlation.  A built dictionary carries them from the builder's
+one pass over its rows, so importance forms no row and redundancy forms and
+centers only its input's rows, for the sweep; a dictionary made from a
+matrix, or another response, takes them in that same pass.  The redundancy
+sweep scores each candidate against every kept column with one
 matrix-vector product, and ``pearson_correlation`` decides only the pairs
 that product cannot certify below varsigma by its rounding bound.
 """
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dictionary import Dictionary
+from .dictionary import _HUGE, _TINY, Dictionary, _centered_dots
 from .errors import AllColumnsDropped, LengthMismatch, NonFinite, ZeroVariance
 from .gram import _U, _gamma
 from .stats import CenteredColumn, center, pearson_correlation
@@ -102,39 +105,36 @@ class ScreeningReport:
 # divides, the clip and varsigma - band add 4 u, and 4 u more cover underflow.
 # Rows with a norm outside [_TINY, _HUGE], whose dots may over- or underflow,
 # always go to the referee.
-_TINY, _HUGE = 2.0**-400, 2.0**500
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
     """Norms of the centered rows of ``z``, and their |corr| with ``y``.
 
-    Each block is centered as ``center_rows`` centers it and each row takes
-    the ddots ``pearson_correlation`` takes, so every value has the referee's
-    bits.  NaN marks a correlation the referee leaves undefined (a norm
-    product outside (0, inf)); a NaN quotient clips to -1, as
+    The norms and dot products are the ones the dictionary carries when
+    ``y`` has the bits of the response it carries them for; otherwise
+    ``_centered_dots`` takes them, in the pass the builder makes.  Either
+    way each block is centered as ``center_rows`` centers it and each row
+    takes the ddots ``pearson_correlation`` takes, so every value has the
+    referee's bits.  NaN marks a correlation the referee leaves undefined (a
+    norm product outside (0, inf)); a NaN quotient clips to -1, as
     ``min(1, max(-1, nan))`` does.  ``rows``, if given, receives the centered
     rows; no other centered row outlives its block.
     """
+    y = np.asarray(y, dtype=np.float64)
     yc = center(y, "response")
     if z.n != yc.values.shape[0]:
         raise LengthMismatch(f"vectors have lengths {z.n} and {yc.values.shape[0]}")
-    squares = np.empty(len(z))
-    products = np.empty(len(z))
-    for index, block in z.blocks():
-        centered = block - block.mean(axis=1)[:, None]
-        i = index[0]
-        for row in centered:
-            squares[i] = row.dot(row)
-            products[i] = row.dot(yc.values)
-            i += 1
-        # A finite row gives a NaN norm only when its sum overflows both ways.
-        nan = np.isnan(squares[index])
-        if nan.any() and not np.isfinite(block[nan]).all():
-            raise NonFinite("vector contains NaN or infinite entries")
+    if z._dots is not None and z._dots[0].tobytes() == y.tobytes():
+        _, norms, products = z._dots
         if rows is not None:
-            rows[index] = centered
-    norms = np.sqrt(squares)
+            for index, block in z.blocks():
+                rows[index] = block - block.mean(axis=1)[:, None]
+    else:
+        _, squares, products, bad = _centered_dots(z._factor_rows, z._recipe, yc.values, rows)
+        if bad is not None:
+            raise NonFinite("vector contains NaN or infinite entries")
+        norms = np.sqrt(squares)
     scale = norms * yc.norm
     r = products / scale
     r = np.abs(np.where(np.isnan(r), -1.0, np.clip(r, -1.0, 1.0)))

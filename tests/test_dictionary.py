@@ -1,6 +1,7 @@
 """Term grammar, admissibility, enumeration counts, and evaluation."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -25,7 +26,9 @@ from parseal import (
     evaluate_term,
     format_term,
     importance_filter,
+    redundancy_filter,
     synth_example1,
+    synth_example2,
     write_csv,
 )
 from parseal import dictionary
@@ -435,7 +438,8 @@ def _per_term_build(columns, alpha, mixture):
 
 
 _COLUMN_KINDS = (
-    "positive", "signed", "with_zero", "with_one", "duplicate", "constant", "huge", "tiny"
+    "positive", "signed", "with_zero", "with_one", "duplicate", "constant", "huge", "tiny",
+    "near_constant",
 )
 _KIND_RANGES = {"signed": (-10.0, 10.0), "huge": (1e120, 1e170), "tiny": (1e-170, 1e-150)}
 
@@ -452,6 +456,15 @@ def _build_inputs(draw):
             col = columns[draw(st.integers(0, len(columns) - 1))].copy()
         elif kind == "constant":
             col = np.full(n, draw(st.floats(0.25, 8.0)))
+        elif kind == "near_constant":
+            # Entries c (1 + k 2^-40), with c tuned to the drawn k so that
+            # the column's sd lies within a few ulps of 1e-12 |mean|, the
+            # edge of the constant-term check, then scaled by a power of two.
+            k = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+            s = 2.0**-40
+            c = s * float(np.std(k)) / 1e-12 - s * float(np.mean(k))
+            c += draw(st.integers(-4, 4)) * math.ulp(c)
+            col = (c + s * k) * 2.0 ** draw(st.integers(-8, 8))
         else:
             # Products of tiny entries underflow to subnormals and zeros.
             lo, hi = _KIND_RANGES.get(kind, (0.05, 20.0))
@@ -588,15 +601,21 @@ def test_a_matrix_dictionary_is_one_factor_row_per_term():
 
 def test_subsets_and_importance_form_no_rows(monkeypatch):
     ds = synth_example1(40, seed=8)
-    d = build_dictionary(ds, alpha=2, mixture=3)
     formed = []  # the row count of every _form call
     real = dictionary._form
     monkeypatch.setattr(dictionary, "_form", lambda f, r: formed.append(len(r)) or real(f, r))
+    d = build_dictionary(ds, alpha=2, mixture=3)
+    # The build forms each candidate's row once, in its one pass.
+    assert sum(formed) == d.census.candidate_terms
+    formed.clear()
     sub = d.subset(range(0, len(d), 3)).subset([4, 0, 9])
     assert formed == [] and len(sub) == 3
     result = importance_filter(d, ds.response, ImportanceRule("relative", 0.5))
-    # Each dictionary row is formed once, to be screened; the survivors' none.
-    assert sum(formed) == len(d) and 0 < len(result.dictionary) < len(d)
+    # Importance reads the norms and products the build carried.
+    assert formed == [] and 0 < len(result.dictionary) < len(d)
+    redundancy_filter(result.dictionary, ds.response, 0.9)
+    # Redundancy forms its survivors' rows once, to center them.
+    assert sum(formed) == len(result.dictionary)
 
 
 def test_a_view_of_a_view_reads_the_parents_bits():
@@ -652,3 +671,57 @@ def test_dictionary_build_holds_no_matrix_of_every_term(tmp_path):
         "factor_restrictions": {},
     }
     assert out.getvalue() == json.dumps(census, indent=2) + "\n"
+
+
+def test_only_rows_inside_the_band_go_to_is_constant(monkeypatch):
+    calls = []  # the row count of every _is_constant call
+    real = dictionary._is_constant
+    monkeypatch.setattr(dictionary, "_is_constant", lambda v: calls.append(len(v)) or real(v))
+    # x = m + k s with k = -1, 1, ...: sd is s and the mean m, so at
+    # m = s / 1e-12 the sd meets the check's limit 1e-12 |mean|.
+    s = 2.0**-40
+    k = np.array([-1.0, 1.0] * 4)
+    m = s / 1e-12
+    verdicts = set()
+    for j in range(-4, 5):
+        columns = (m + j * math.ulp(m) + s * k)[:, None]
+        calls.clear()
+        d = build_dictionary(_dataset(columns, ("x",)), alpha=1, mixture=1)
+        kept, _, excluded, _, _ = _per_term_build(columns, 1, 1)
+        assert d.keys() == kept
+        assert d.census.excluded_terms == tuple((key, "constant column") for key in excluded)
+        assert calls == [1]  # v0^1/1 alone lies inside the band
+        verdicts.add("v0^1/1" in excluded)
+    assert verdicts == {True, False}
+
+    calls.clear()
+    d = build_dictionary(_dict_heavy_shaped(), alpha=2, mixture=3)
+    assert len(d) == 21_560 and calls == []
+
+
+# sha256 of `parseal dict --alpha 2 --mixture 3` on each dataset, taken
+# before the constant check was decided from the screening pass's norms.
+_CENSUS_SHA256 = {
+    "synth_example1": "a0c899c4c478baae50f0285aaa694403a03702cbb3d7fc5a78e1107f1f61df67",
+    "synth_example2": "da9e6b6a650b66494a674ef87cc8bfd1708db748263b7d6441616bb7c9d9b40f",
+    "dict_heavy_shaped": "7685a2ec2359401d728d0dfb247c7186229d3afd662894a2614c60ef40884bc2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENSUS_SHA256))
+def test_dict_census_bytes_are_pinned(name, tmp_path):
+    ds = {
+        "synth_example1": lambda: synth_example1(1000, seed=0),
+        "synth_example2": lambda: synth_example2(1000, seed=0),
+        "dict_heavy_shaped": _dict_heavy_shaped,
+    }[name]()
+    path = tmp_path / "in.csv"
+    write_csv(ds, path)
+    argv = ["dict", "--input", str(path), "--response", "y", "--alpha", "2", "--mixture", "3"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(tmp_path / "census.json")]) == 0
+    text = out.getvalue().split("census written to")[0].encode("ascii")
+    assert hashlib.sha256(text).hexdigest() == _CENSUS_SHA256[name]
+    assert (tmp_path / "census.json").read_bytes() == text

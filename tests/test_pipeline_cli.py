@@ -23,6 +23,7 @@ from parseal import (
 )
 from parseal.cli import main
 from parseal.errors import ParsealError
+from parseal import pipeline
 from parseal.pipeline import json_text
 
 
@@ -230,6 +231,27 @@ def test_json_text_raises_the_exception_json_dumps_raises(bad):
         with pytest.raises(error):
             json.dumps(obj, indent=2, allow_nan=False)
         with pytest.raises(error):
+            json_text(obj)
+
+
+@pytest.mark.parametrize("nulls", ["one", "several", "all"])
+def test_a_float_column_with_nulls_is_written_from_the_template(nulls):
+    drops = [
+        {"term": f"v{i % 7}^1/1*log(v{i % 5})^-1", "abs_corr": c, "reason": "below_threshold"}
+        for i, c in enumerate(philox(503).random(20_435).tolist())
+    ]
+    drops[1]["abs_corr"] = 0.0
+    drops[2]["abs_corr"] = -0.0
+    picks = {"one": [9_000], "several": [0, 3, 9_000, 20_434], "all": range(len(drops))}[nulls]
+    for i in picks:
+        drops[i].update(abs_corr=None, reason="non_finite_correlation")
+    obj = {"dropped_unimportant": drops}
+    assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+    # The whole list takes the one-template path, not the per-item one.
+    assert pipeline._rows_text(drops, "\n    ") is not None
+    for bad in (math.nan, math.inf):
+        drops[5]["abs_corr"] = bad
+        with pytest.raises(ValueError):
             json_text(obj)
 
 

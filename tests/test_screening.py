@@ -637,3 +637,54 @@ def test_importance_holds_no_matrix_of_every_row():
     assert result.referee_calls == 0
     # A (T, n) matrix of every centered row would take T * n * 8 = 172 MB.
     assert peak < 0.1 * len(z) * ds.n * 8
+
+
+# ---------------------------------------------------------------------------
+# the norms and products a built dictionary carries
+# ---------------------------------------------------------------------------
+
+
+def _screen_outcome(z, y):
+    """Everything importance, redundancy and screen decide on ``z``, as bits."""
+    key = canonical_key
+    norms, corrs = screening._abs_corrs(z, y)
+    importance = importance_filter(z, y, ImportanceRule("relative", 0.3))
+    redundancy = redundancy_filter(z, y, 0.9)
+    _, report = screen(z, y, ImportanceRule("relative", 0.3), 0.9)
+    return (
+        norms.tobytes(),
+        corrs.tobytes(),
+        [(key(d.term), d.abs_corr.hex(), d.reason) for d in importance.dropped],
+        importance.dictionary.keys(),
+        (importance.max_abs_corr.hex(), importance.correlations, importance.referee_calls),
+        [(key(d.term), key(d.winner), d.abs_corr.hex()) for d in redundancy.dropped],
+        redundancy.dictionary.keys(),
+        (redundancy.correlations, redundancy.referee_calls),
+        [key(t) for t in report.kept],
+        [(key(d.term), key(d.winner), d.abs_corr.hex()) for d in report.dropped_redundant],
+        (report.correlations, report.referee_calls),
+    )
+
+
+@pytest.mark.parametrize("make", [synth_example1, synth_example2])
+def test_carried_statistics_screen_as_the_matrix_path(make):
+    ds = make(80, seed=12)
+    d = build_dictionary(ds, alpha=2, mixture=3)
+    matrix = Dictionary(d.terms, d.columns, d.source_labels)  # carries no statistics
+    y = ds.response
+    off = y.copy()
+    off[7] = np.nextafter(off[7], math.inf)  # one last bit away from the built-for response
+    outer = list(range(len(d) - 1, -1, -2))
+    inner = list(range(0, len(outer), 3)) + [1, 0]
+    cases = [
+        (d, matrix, y, 0),
+        (d, matrix, off, 5),  # the built dictionary takes its dots again, in every pass
+        (d.subset(outer).subset(inner), matrix.subset(outer).subset(inner), y, 0),
+    ]
+    for built, reference, response, passes in cases:
+        with mock.patch.object(
+            screening, "_centered_dots", wraps=screening._centered_dots
+        ) as counted:
+            outcome = _screen_outcome(built, response)
+        assert counted.call_count == passes
+        assert outcome == _screen_outcome(reference, response)
