@@ -78,8 +78,9 @@ def load_csv(path, response: str) -> Dataset:
 
     Every non-response column becomes an input variable, in header order.
     Cells must parse as finite decimals; the offending row and column are
-    named otherwise.  The file is read as UTF-8, with or without a leading
-    byte-order mark.
+    named otherwise.  Blank lines after the last data row are ignored; a
+    blank line between data rows is an error.  The file is read as UTF-8,
+    with or without a leading byte-order mark.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -101,7 +102,13 @@ def load_csv(path, response: str) -> Dataset:
         )
     response_idx = header.index(response)
     rows = []
+    blank = None  # the first blank line; only blank lines may follow it
     for row_number, row in enumerate(reader):
+        if not row:
+            blank = row_number if blank is None else blank
+            continue
+        if blank is not None:
+            raise ParseError(f"row {blank} is blank, but data rows follow it", row=blank)
         if len(row) != len(header):
             raise ParseError(
                 f"row {row_number} has {len(row)} cells, expected {len(header)}",

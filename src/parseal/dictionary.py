@@ -95,9 +95,9 @@ class TermExpr:
     def _of_sorted(cls, factors: tuple, key: str) -> "TermExpr":
         """A term from factors already sorted by distinct variable index.
 
-        The dictionary builder enumerates factors that way and has already
-        joined their keys, so it skips the sort, the checks and the
-        rendering ``__post_init__`` would repeat for every term.
+        A dictionary makes its terms from the builder's factors, enumerated
+        that way, and keys it has already joined, so it skips the sort, the
+        checks and the rendering ``__post_init__`` would repeat for each.
         """
         term = object.__new__(cls)
         object.__setattr__(term, "factors", factors)
@@ -233,6 +233,11 @@ class Dictionary:
     exist.  A dictionary made from a matrix is the case of one factor row
     per term.
 
+    A term is its key until it is read: ``keys``, ``len`` and ``subset``
+    read ``_keys``, an object array of the key strings, and ``terms`` makes
+    a view's ``TermExpr``s the first time it is read, from ``_factors``, the
+    ``Factor`` of each factor row but the padding.
+
     A built dictionary also carries ``_dots``: the response, and each term's
     centered-row norm and dot product with the centered response, from the
     builder's one pass over the rows; ``subset`` slices them.
@@ -248,27 +253,32 @@ class Dictionary:
     """
 
     def __init__(self, terms, columns, source_labels, census=None):
+        terms = tuple(terms)
         cols = np.asarray(columns, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[1] != len(terms):
             raise ValueError(
                 f"need an (n, {len(terms)}) column matrix, got shape {cols.shape}"
             )
         cols.setflags(write=False)
+        keys = np.array([t.key for t in terms], dtype=object)
         recipe = np.arange(len(terms))[:, None]
-        self._assign(terms, np.ascontiguousarray(cols.T), recipe, source_labels, census, None)
+        rows = np.ascontiguousarray(cols.T)
+        self._assign(keys, terms, None, rows, recipe, source_labels, census, None)
         self._columns = cols
 
     @classmethod
-    def _of_recipe(cls, terms, factor_rows, recipe, source_labels, census, dots):
+    def _of_recipe(cls, keys, terms, factors, factor_rows, recipe, source_labels, census, dots):
         """A dictionary whose term rows are formed from ``factor_rows`` on demand."""
         z = object.__new__(cls)
-        z._assign(terms, factor_rows, recipe, source_labels, census, dots)
+        z._assign(keys, terms, factors, factor_rows, recipe, source_labels, census, dots)
         z._columns = None
         return z
 
-    def _assign(self, terms, factor_rows, recipe, source_labels, census, dots):
+    def _assign(self, keys, terms, factors, factor_rows, recipe, source_labels, census, dots):
         factor_rows.setflags(write=False)
-        self.terms = tuple(terms)
+        self._keys = keys
+        self._terms = terms
+        self._factors = factors
         self.source_labels = tuple(source_labels)
         self.census = census
         self._factor_rows = factor_rows
@@ -276,11 +286,19 @@ class Dictionary:
         self._dots = dots
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._keys)
 
     @property
     def n(self) -> int:
         return self._factor_rows.shape[1]
+
+    @property
+    def terms(self) -> tuple:
+        """The ``TermExpr`` of every term, made the first time they are read."""
+        if self._terms is None:
+            rows = zip(self._recipe.tolist(), self._keys)
+            self._terms = tuple(_term(self._factors, row, key) for row, key in rows)
+        return self._terms
 
     @property
     def columns(self) -> np.ndarray:
@@ -299,7 +317,7 @@ class Dictionary:
         return self._columns
 
     def keys(self) -> list:
-        return [t.key for t in self.terms]
+        return self._keys.tolist()
 
     def blocks(self):
         """(term indices, (k, n) rows) of every term, a block at a time.
@@ -311,19 +329,29 @@ class Dictionary:
             yield np.arange(start, start + len(block)), block
 
     def subset(self, indices) -> "Dictionary":
-        """A view of the requested terms: the same factor rows, and no row formed."""
-        indices = list(indices)
+        """A view of the requested terms: the same factor rows, and no row or term formed."""
+        indices = np.asarray(indices, dtype=np.intp)
+        terms = self._terms
+        if terms is not None:
+            terms = tuple(map(terms.__getitem__, indices.tolist()))
         dots = self._dots
         if dots is not None:
             dots = (dots[0], dots[1][indices], dots[2][indices])
         return Dictionary._of_recipe(
-            tuple(self.terms[i] for i in indices),
+            self._keys[indices],
+            terms,
+            self._factors,
             self._factor_rows,
             self._recipe[indices],
             self.source_labels,
             None,
             dots,
         )
+
+
+def _term(factors, row, key: str) -> TermExpr:
+    """The term whose factor-row indices are ``row``; indices past ``factors`` are padding."""
+    return TermExpr._of_sorted(tuple(factors[j] for j in row if j < len(factors)), key)
 
 
 def _form(factor_rows: np.ndarray, recipe: np.ndarray) -> np.ndarray:
@@ -351,9 +379,10 @@ def _centered_dots(factor_rows: np.ndarray, recipe: np.ndarray, yc: np.ndarray, 
     """Row means, ``row.dot(row)`` and ``row.dot(yc)`` of the centered term
     rows of ``recipe``, and the index of the first row holding a NaN or inf.
 
-    Each block is formed once and centered once, with the bits
-    ``center_rows`` gives and ``np.std`` squares, and each row takes the
-    ddots ``pearson_correlation`` takes.  ``rows``, if given, receives the
+    Each block is formed once and centered once, and each row takes the
+    ddots ``pearson_correlation`` takes: numpy's matmul gives each stacked
+    (1, n) @ (n, 1) product to the 1-d dot kernel ``ndarray.dot`` calls, so
+    a block takes both with two calls.  ``rows``, if given, receives the
     centered rows.  A non-finite row centers to a NaN, so only rows with a
     NaN square are formed again to find one.
     """
@@ -363,15 +392,13 @@ def _centered_dots(factor_rows: np.ndarray, recipe: np.ndarray, yc: np.ndarray, 
     with np.errstate(over="ignore", invalid="ignore"):
         for start, block in _blocks(factor_rows, recipe):
             stop = start + len(block)
-            means[start:stop] = block.mean(axis=1)
-            centered = block - means[start:stop, None]
-            i = start
-            for row in centered:
-                squares[i] = row.dot(row)
-                products[i] = row.dot(yc)
-                i += 1
+            # block.mean(axis=1) and block - mean, in place, with their bits.
+            means[start:stop] = np.add.reduce(block, 1) / block.shape[1]
+            np.subtract(block, means[start:stop, None], out=block)
+            squares[start:stop] = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+            products[start:stop] = (block[:, None, :] @ yc[:, None])[:, 0, 0]
             if rows is not None:
-                rows[start:stop] = centered
+                rows[start:stop] = block
     suspects = np.flatnonzero(np.isnan(squares))
     for start, block in _blocks(factor_rows, recipe[suspects]):
         bad = ~np.isfinite(block).all(axis=1)
@@ -511,28 +538,27 @@ def build_dictionary(
     # One Factor, one evaluated row and one key string per admissible
     # (variable, transform, exponent); every term only multiplies these.
     # The last factor row is all ones, the padding of shorter terms' recipes.
-    factors = [[Factor(i, t, e) for t, e in pairs] for i, pairs in enumerate(per_variable)]
+    factors = [Factor(i, t, e) for i, pairs in enumerate(per_variable) for t, e in pairs]
     with np.errstate(over="ignore"):  # an overflowing term is raised below
         factor_rows = np.stack(
-            [_evaluate_factor(f, columns[:, f.variable_index]) for fs in factors for f in fs]
+            [_evaluate_factor(f, columns[:, f.variable_index]) for f in factors]
             + [np.ones(columns.shape[0])]
         )
-    factor_keys = [[_factor_key(f) for f in fs] for fs in factors]
     first_row = np.cumsum([0] + sizes)
+    factor_keys = [[_factor_key(f) for f in factors[a:b]] for a, b in zip(first_row, first_row[1:])]
 
     keys = []
-    choices = []
     recipes = []
     for m in range(1, mixture + 1):
         for combo in itertools.combinations(range(p), m):
             keys += map("*".join, itertools.product(*(factor_keys[i] for i in combo)))
-            choices += itertools.product(*(factors[i] for i in combo))
             # The combination's Cartesian product, row-major as above.
             local = np.indices([sizes[i] for i in combo]).reshape(m, -1).T
-            recipe = np.full((len(local), mixture), len(factor_rows) - 1)
+            recipe = np.full((len(local), mixture), len(factors))
             recipe[:, :m] = local + first_row[list(combo)]
             recipes.append(recipe)
-    order = np.array(sorted(range(candidate_total), key=keys.__getitem__), dtype=np.intp)
+    order = sorted(range(candidate_total), key=keys.__getitem__)
+    keys = np.array(keys, dtype=object)[order]
     recipe = np.concatenate(recipes)[order]
 
     # The one pass that forms the candidates' rows.  _is_constant compares
@@ -551,7 +577,7 @@ def build_dictionary(
         means, squares, products, bad = _centered_dots(factor_rows, recipe, yc.values)
         if bad is not None:
             # Raises the error of the lowest-keyed non-finite term.
-            evaluate_term(TermExpr(choices[order[bad]]), columns)
+            evaluate_term(_term(factors, recipe[bad].tolist(), keys[bad]), columns)
         norms = np.sqrt(squares)
         limit = (_CONSTANT_SD_REL * np.abs(means) + 1e-300) * math.sqrt(columns.shape[0])
         band = 2.0 * _gamma(columns.shape[0]) + 16.0 * _U
@@ -561,20 +587,20 @@ def build_dictionary(
     for start, block in _blocks(factor_rows, recipe[unclear]):
         constant[unclear[start:start + len(block)]] = _is_constant(block)
 
-    kept = ~constant
-    kept_terms = [TermExpr._of_sorted(choices[e], keys[e]) for e in order[kept].tolist()]
-    kept_by_mixture = {m: 0 for m in range(1, mixture + 1)}
-    for term in kept_terms:
-        kept_by_mixture[len(term.factors)] += 1
-    excluded = [(keys[e], "constant column") for e in order[constant].tolist()]
+    kept = np.flatnonzero(~constant)
+    sizes_kept = np.count_nonzero(recipe[kept] < len(factors), axis=1)
+    kept_by_mixture = {m: int(np.count_nonzero(sizes_kept == m)) for m in range(1, mixture + 1)}
+    excluded = [(key, "constant column") for key in keys[constant].tolist()]
 
     census = DictionaryCensus(
         candidate_terms=candidate_total,
-        kept_terms=len(kept_terms),
+        kept_terms=len(kept),
         candidates_by_mixture=candidates_by_mixture,
         kept_by_mixture=kept_by_mixture,
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
     dots = (response, norms[kept], products[kept])
-    return Dictionary._of_recipe(kept_terms, factor_rows, recipe[kept], names, census, dots)
+    return Dictionary._of_recipe(
+        keys[kept], None, factors, factor_rows, recipe[kept], names, census, dots
+    )

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import build_dictionary, canonical_key, format_term
 from .errors import ParsealError
-from .screening import screen
+from .screening import screen, unimportant_reasons
 from .selection import (
     SelectedModel,
     SelectionConfig,
@@ -81,23 +81,57 @@ def _model_section(model: SelectedModel, source_labels, search_mode: str) -> dic
 
 
 def _screening_section(report, rule) -> dict:
-    key = canonical_key
+    corrs = report.unimportant_corrs
+    redundant = report.dropped_redundant
     return {
         "delta_mode": rule.mode,
         "delta_value": float(rule.value),
         "delta_effective": float(report.delta_effective),
         "max_abs_corr": float(report.max_abs_corr),
         "varsigma": float(report.varsigma),
-        "kept": [key(t) for t in report.kept],
-        "dropped_unimportant": [
-            {"term": key(term), "abs_corr": _float_or_none(c), "reason": reason}
-            for term, c, reason in report.dropped_unimportant
-        ],
-        "dropped_redundant": [
-            {"term": key(d.term), "winner": key(d.winner), "abs_corr": float(d.abs_corr)}
-            for d in report.dropped_redundant
-        ],
+        "kept": [canonical_key(t) for t in report.kept],
+        "dropped_unimportant": Records(
+            ("term", "abs_corr", "reason"),
+            report.unimportant_terms.keys(),
+            np.where(np.isnan(corrs), None, corrs).tolist(),
+            unimportant_reasons(corrs),
+        ),
+        "dropped_redundant": Records(
+            ("term", "winner", "abs_corr"),
+            [canonical_key(d.term) for d in redundant],
+            [canonical_key(d.winner) for d in redundant],
+            [float(d.abs_corr) for d in redundant],
+        ),
     }
+
+
+class Records:
+    """Flat records kept as one list per field, with no dict per record.
+
+    It reads, and compares equal, as the list of dicts it stands for;
+    ``json_text`` writes it from its columns.
+    """
+
+    def __init__(self, names, *columns):
+        self.names = names
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return (dict(zip(self.names, values)) for values in zip(*self.columns))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return dict(zip(self.names, [column[i] for column in self.columns]))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Records) else other)
+
+    def __repr__(self) -> str:
+        return f"Records({self.names!r}, {len(self)} rows)"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -109,8 +143,9 @@ def json_text(obj) -> str:
 
     It makes the calls that ``json``'s pure-Python encoder makes for each
     value, which an indent forces ``json.dumps`` to use, but writes a list of
-    flat dicts with the same str keys, such as the drop records, from one
-    ``str.format`` template filled by C-level ``map``.
+    flat records -- a ``Records``, or dicts with the same str keys, such as
+    the drop records -- from one ``str.format`` template filled by C-level
+    ``map``.  A ``Records`` is written as the list of dicts it stands for.
     """
     return _text(obj, "\n")
 
@@ -132,7 +167,7 @@ def _text(obj, nl: str) -> str:
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         return float.__repr__(obj)
     inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Records)):
         if not obj:
             return "[]"
         body = _rows_text(obj, inner) or ("," + inner).join([_text(item, inner) for item in obj])
@@ -155,34 +190,38 @@ def _key(key) -> str:
 
 
 def _rows_text(items, nl: str) -> str | None:
-    """The items of a list of flat dicts with the same str keys in the same
-    order, each key's values all strs, all ints, or finite floats and Nones;
-    else None."""
-    first = items[0]
-    if set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}:
-        return None
-    if set(map(tuple, items)) != {tuple(first)}:
-        return None
-    columns = []
-    for key in first:
-        column = [row[key] for row in items]
+    """The items of a list of flat records, a ``Records`` or dicts with the
+    same str keys in the same order, when each field's values are all strs,
+    all ints, or finite floats and Nones; else None."""
+    if isinstance(items, Records):
+        names, columns = items.names, items.columns
+    else:
+        first = items[0]
+        if set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}:
+            return None
+        if set(map(tuple, items)) != {tuple(first)}:
+            return None
+        names = tuple(first)
+        columns = [[row[key] for row in items] for key in first]
+    texts = []
+    for column in columns:
         kinds = set(map(type, column))
         if kinds <= {float, type(None)} and type(None) in kinds:
             # None, written null, stands for an undefined float such as a
             # non-finite |corr|; filter drops it (and zeros) from the check.
             if not all(map(math.isfinite, filter(None, column))):
                 return None
-            columns.append(["null" if v is None else float.__repr__(v) for v in column])
+            texts.append(["null" if v is None else float.__repr__(v) for v in column])
             continue
         write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
             return None
-        columns.append(map(write, column))
+        texts.append(map(write, column))
     inner = nl + "  "
     entries = ("," + inner).join(
-        _encode_str(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in first
+        _encode_str(name).replace("{", "{{").replace("}", "}}") + ": {}" for name in names
     )
-    return ("," + nl).join(map(("{{" + inner + entries + nl + "}}").format, *columns))
+    return ("," + nl).join(map(("{{" + inner + entries + nl + "}}").format, *texts))
 
 
 @dataclass(frozen=True)
@@ -200,10 +239,12 @@ class RunReport:
     timing: dict | None
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Plain values for ``json.dumps``: each ``Records`` becomes its list of dicts."""
+        screening = {k: list(v) if isinstance(v, Records) else v for k, v in self.screening.items()}
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"screening": screening}
 
     def to_json(self) -> str:
-        return json_text(self.to_dict()) + "\n"
+        return json_text({f.name: getattr(self, f.name) for f in fields(self)}) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

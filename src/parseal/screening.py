@@ -9,21 +9,24 @@ always loses to the stronger column that made it redundant.
 
 Both filters emit subsequences of their input dictionary, as views that form
 no rows: kept columns stay in dictionary order and every drop is recorded in
-the report.  Each |corr(z_j, y)| comes from the centered row's norm and
-response product, the dot products ``pearson_correlation`` would take, with
-no call per correlation.  A built dictionary carries them from the builder's
-one pass over its rows, so importance forms no row and redundancy forms and
-centers only its input's rows, for the sweep; a dictionary made from a
-matrix, or another response, takes them in that same pass.  The redundancy
-sweep scores each candidate against every kept column with one
-matrix-vector product, and ``pearson_correlation`` decides only the pairs
-that product cannot certify below varsigma by its rounding bound.
+the report.  Importance keeps its drops as a view and a |corr| array, and
+makes their records only when they are read.  Each |corr(z_j, y)| comes
+from the centered row's norm and response product, the dot products
+``pearson_correlation`` would take, with no call per correlation.  A built
+dictionary carries them from the builder's one pass over its rows, so
+importance forms no row and redundancy forms and centers only its input's
+rows, for the sweep; a dictionary made from a matrix, or another response,
+takes them in that same pass.  The redundancy sweep scores each candidate
+against every kept column with one matrix-vector product, and
+``pearson_correlation`` decides only the pairs that product cannot certify
+below varsigma by its rounding bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +53,7 @@ class ImportanceRule:
 
 
 class UnimportantDrop(NamedTuple):
-    """A term the importance stage dropped; a tuple, as a fit may drop thousands."""
+    """A term the importance stage dropped; made only when the drops are read."""
 
     term: object
     abs_corr: float
@@ -64,14 +67,35 @@ class RedundantDrop:
     abs_corr: float
 
 
-@dataclass(frozen=True)
+def unimportant_reasons(corrs: np.ndarray) -> list:
+    """The reason of each importance drop with these |corr| values."""
+    reasons = ["below_threshold"] * len(corrs)
+    for i in np.flatnonzero(np.isnan(corrs)).tolist():
+        reasons[i] = "non_finite_correlation"
+    return reasons
+
+
+def _unimportant_drops(terms: Dictionary, corrs: np.ndarray) -> tuple:
+    return tuple(map(UnimportantDrop, terms.terms, corrs.tolist(), unimportant_reasons(corrs)))
+
+
+@dataclass(frozen=True, eq=False)
 class ImportanceResult:
+    """The kept view, and the dropped terms as a view with their |corr| array
+    (NaN: ``non_finite_correlation``); ``dropped`` makes their records when
+    it is first read."""
+
     dictionary: Dictionary
-    dropped: tuple
+    dropped_terms: Dictionary
+    dropped_corrs: np.ndarray
     delta_effective: float
     max_abs_corr: float
     correlations: int  # one per term
     referee_calls: int  # pearson_correlation calls
+
+    @cached_property
+    def dropped(self) -> tuple:
+        return _unimportant_drops(self.dropped_terms, self.dropped_corrs)
 
 
 @dataclass(frozen=True)
@@ -82,18 +106,37 @@ class RedundancyResult:
     referee_calls: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScreeningReport:
-    """Combined record of both stages for one pipeline run."""
+    """Combined record of both stages for one pipeline run.
+
+    The importance drops are kept as ``ImportanceResult`` keeps them;
+    ``dropped_unimportant`` makes their records when it is first read.
+    """
 
     kept: tuple
-    dropped_unimportant: tuple
+    unimportant_terms: Dictionary
+    unimportant_corrs: np.ndarray
     dropped_redundant: tuple
     delta_effective: float
     max_abs_corr: float
     varsigma: float
     correlations: int  # both stages; not in the JSON report
     referee_calls: int
+
+    @cached_property
+    def dropped_unimportant(self) -> tuple:
+        return _unimportant_drops(self.unimportant_terms, self.unimportant_corrs)
+
+    def __eq__(self, other):
+        """Field by field, the importance drops compared as their records."""
+        if not isinstance(other, ScreeningReport):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _REPORT_FIELDS)
+
+
+_REPORT_FIELDS = ("kept", "dropped_unimportant", "dropped_redundant", "delta_effective",
+                  "max_abs_corr", "varsigma", "correlations", "referee_calls")
 
 
 # The sweep certifies that a pair eliminates nothing when its |corr| from the
@@ -169,14 +212,11 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     kept = corrs >= threshold
     if not kept.any():
         raise AllColumnsDropped(max_abs)
-    cut = ~kept
-    dropped = tuple(
-        UnimportantDrop(z.terms[i], c, "non_finite_correlation" if math.isnan(c) else "below_threshold")
-        for i, c in zip(np.flatnonzero(cut).tolist(), corrs[cut].tolist())
-    )
+    cut = np.flatnonzero(~kept)
     return ImportanceResult(
-        dictionary=z.subset(np.flatnonzero(kept).tolist()),
-        dropped=dropped,
+        dictionary=z.subset(np.flatnonzero(kept)),
+        dropped_terms=z.subset(cut),
+        dropped_corrs=corrs[cut],
         delta_effective=threshold,
         max_abs_corr=max_abs,
         correlations=len(z),
@@ -244,7 +284,8 @@ def screen(z: Dictionary, y: np.ndarray, rule: ImportanceRule, varsigma: float):
     redundancy = redundancy_filter(importance.dictionary, y, varsigma)
     report = ScreeningReport(
         kept=redundancy.dictionary.terms,
-        dropped_unimportant=importance.dropped,
+        unimportant_terms=importance.dropped_terms,
+        unimportant_corrs=importance.dropped_corrs,
         dropped_redundant=redundancy.dropped,
         delta_effective=importance.delta_effective,
         max_abs_corr=importance.max_abs_corr,

@@ -128,6 +128,26 @@ def test_load_csv_error_reporting(tmp_path):
     with pytest.raises(InsufficientData):
         load_csv(short, response="y")
 
+    inner_blank = tmp_path / "inner_blank.csv"
+    inner_blank.write_text("a,b,y\n1,2,3\n4,5,6\n\n7,8,9\n10,11,12\n")
+    with pytest.raises(ParseError, match="row 2 ") as exc:
+        load_csv(inner_blank, response="y")
+    assert exc.value.row == 2
+
+
+def test_load_csv_ignores_blank_lines_after_the_last_row(tmp_path):
+    rows = "a,b,y\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n"
+    plain_path = tmp_path / "plain.csv"
+    plain_path.write_text(rows)
+    plain = load_csv(plain_path, response="y")
+    for tail in ("\n", "\n\n\n", "\r\n\r\n"):
+        path = tmp_path / "tail.csv"
+        path.write_text(rows + tail)
+        back = load_csv(path, response="y")
+        assert back.n == 4
+        assert back.columns.tobytes() == plain.columns.tobytes()
+        assert back.response.tobytes() == plain.response.tobytes()
+
 
 def test_load_csv_reads_utf8_with_a_byte_order_mark(tmp_path):
     # Spreadsheets save "CSV UTF-8" with a leading BOM.

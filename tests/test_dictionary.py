@@ -725,3 +725,122 @@ def test_dict_census_bytes_are_pinned(name, tmp_path):
     text = out.getvalue().split("census written to")[0].encode("ascii")
     assert hashlib.sha256(text).hexdigest() == _CENSUS_SHA256[name]
     assert (tmp_path / "census.json").read_bytes() == text
+
+
+def _per_row_centered_dots(factor_rows, recipe, yc):
+    """The block pass as it was with a ddot call per row: the oracle of
+    ``_centered_dots``'s means, squares, products and first bad row."""
+    means = np.empty(len(recipe))
+    squares = np.empty(len(recipe))
+    products = np.empty(len(recipe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, block in dictionary._blocks(factor_rows, recipe):
+            stop = start + len(block)
+            means[start:stop] = block.mean(axis=1)
+            centered = block - means[start:stop, None]
+            i = start
+            for row in centered:
+                squares[i] = row.dot(row)
+                products[i] = row.dot(yc)
+                i += 1
+    suspects = np.flatnonzero(np.isnan(squares))
+    for start, block in dictionary._blocks(factor_rows, recipe[suspects]):
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            return means, squares, products, int(suspects[start + np.argmax(bad)])
+    return means, squares, products, None
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+_ROW_KINDS = ("normal", "tiny", "huge", "offset", "zero", "constant", "non_finite")
+
+
+def _row(rng, kind, n):
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.normal() * 10.0 ** rng.uniform(-300, 300))
+    values = rng.standard_normal(n)
+    if kind == "normal":
+        return values * 10.0 ** rng.uniform(-5, 5)
+    if kind == "tiny":  # near _TINY, and squares that underflow
+        return np.ldexp(values, int(math.log2(dictionary._TINY)) + int(rng.integers(-150, 80)))
+    if kind == "huge":  # near _HUGE, and sums of squares that overflow
+        return np.ldexp(values, int(math.log2(dictionary._HUGE)) + int(rng.integers(-40, 20)))
+    if kind == "offset":  # centering cancels all but a few bits
+        return np.copysign(10.0 ** rng.uniform(4, 12), rng.normal()) + values * 1e-3
+    values[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+    return values
+
+
+@given(
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=64),
+    n=st.integers(2, 4096),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_ddots_match_the_per_row_ddots(kinds, n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = [_row(rng, kind, n) for kind in kinds]
+    factor_rows = np.stack(rows + [np.ones(n)])
+    # Each term is one row times the all-ones padding row.
+    recipe = np.stack([np.arange(len(rows)), np.full(len(rows), len(rows))], axis=1)
+    yc = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    yc -= yc.mean()
+    got = dictionary._centered_dots(factor_rows, recipe, yc)
+    want = _per_row_centered_dots(factor_rows, recipe, yc)
+    for a, b in zip(got[:3], want[:3]):
+        assert _same_bits(a, b)
+    assert got[3] == want[3]
+    centered = np.empty((len(rows), n))
+    dictionary._centered_dots(factor_rows, recipe, yc, centered)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = factor_rows[:-1] - factor_rows[:-1].mean(axis=1)[:, None]
+    assert _same_bits(centered.ravel(), expected.ravel())
+
+
+def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
+    from parseal import SelectionConfig, pipeline, run_pipeline, screening
+
+    made = {"terms": 0, "unimportant_drops": 0, "records_read": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    of_sorted = counting("terms", TermExpr._of_sorted)
+    monkeypatch.setattr(TermExpr, "_of_sorted", classmethod(lambda cls, f, k: of_sorted(f, k)))
+    monkeypatch.setattr(TermExpr, "__post_init__", counting("terms", TermExpr.__post_init__))
+    drop = counting("unimportant_drops", screening.UnimportantDrop)
+    monkeypatch.setattr(screening, "UnimportantDrop", drop)
+    for method in ("__iter__", "__getitem__"):
+        read = counting("records_read", getattr(pipeline.Records, method))
+        monkeypatch.setattr(pipeline.Records, method, read)
+
+    cfg = SelectionConfig(alpha=2, mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
+    report = run_pipeline(_dict_heavy_shaped(), cfg, out_dir=tmp_path, stable=True)
+    counts = dict(made)
+    screened = report.screening
+    survivors = len(screened["kept"]) + len(screened["dropped_redundant"])
+    assert report.dictionary["kept_terms"] == 21_560 and survivors < 5_000
+    assert counts["terms"] <= survivors + len(report.selected_model["term_keys"])
+    assert counts["unimportant_drops"] == 0
+    # No drop record became a dict, to write the report or to keep it.
+    assert counts["records_read"] == 0
+    assert _dicts_with(report.screening, "abs_corr") == 0
+    assert (tmp_path / "report.json").read_bytes() == report.to_json().encode("ascii")
+
+
+def _dicts_with(obj, key):
+    """Dicts holding ``key`` inside the dicts and lists of ``obj``."""
+    if isinstance(obj, dict):
+        return (key in obj) + sum(_dicts_with(v, key) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_dicts_with(v, key) for v in obj)
+    return 0
