@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import build_dictionary, canonical_key, format_term
 from .errors import ParsealError
-from .screening import screen, unimportant_reasons
+from .screening import Records, screen
 from .selection import (
     SelectedModel,
     SelectionConfig,
@@ -81,8 +81,6 @@ def _model_section(model: SelectedModel, source_labels, search_mode: str) -> dic
 
 
 def _screening_section(report, rule) -> dict:
-    corrs = report.unimportant_corrs
-    redundant = report.dropped_redundant
     return {
         "delta_mode": rule.mode,
         "delta_value": float(rule.value),
@@ -90,48 +88,9 @@ def _screening_section(report, rule) -> dict:
         "max_abs_corr": float(report.max_abs_corr),
         "varsigma": float(report.varsigma),
         "kept": [canonical_key(t) for t in report.kept],
-        "dropped_unimportant": Records(
-            ("term", "abs_corr", "reason"),
-            report.unimportant_terms.keys(),
-            np.where(np.isnan(corrs), None, corrs).tolist(),
-            unimportant_reasons(corrs),
-        ),
-        "dropped_redundant": Records(
-            ("term", "winner", "abs_corr"),
-            [canonical_key(d.term) for d in redundant],
-            [canonical_key(d.winner) for d in redundant],
-            [float(d.abs_corr) for d in redundant],
-        ),
+        "dropped_unimportant": report.dropped_unimportant,
+        "dropped_redundant": report.dropped_redundant,
     }
-
-
-class Records:
-    """Flat records kept as one list per field, with no dict per record.
-
-    It reads, and compares equal, as the list of dicts it stands for;
-    ``json_text`` writes it from its columns.
-    """
-
-    def __init__(self, names, *columns):
-        self.names = names
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self):
-        return (dict(zip(self.names, values)) for values in zip(*self.columns))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        return dict(zip(self.names, [column[i] for column in self.columns]))
-
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, Records) else other)
-
-    def __repr__(self) -> str:
-        return f"Records({self.names!r}, {len(self)} rows)"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -261,20 +220,14 @@ def _residuals_rows(observed: np.ndarray, residuals: np.ndarray):
     # Emit fitted once, then re-derive the residual from the emitted value so
     # observed - fitted == residual holds exactly in the file.
     fitted = observed - residuals
-    rows = ["observed,fitted,residual"]
-    for o, f in zip(observed, fitted):
-        o = float(o)
-        f = float(f)
-        rows.append(f"{o!r},{f!r},{(o - f)!r}")
-    return "\n".join(rows) + "\n"
+    rows = [f"{o!r},{f!r},{o - f!r}" for o, f in zip(observed.tolist(), fitted.tolist())]
+    return "\n".join(["observed,fitted,residual", *rows]) + "\n"
 
 
 def _bland_altman_rows(observed: np.ndarray, residuals: np.ndarray):
     fitted = observed - residuals
-    rows = ["mean,difference"]
-    for mean, diff in bland_altman(observed, fitted).pairs:
-        rows.append(f"{float(mean)!r},{float(diff)!r}")
-    return "\n".join(rows) + "\n"
+    pairs = bland_altman(observed, fitted).pairs.tolist()
+    return "\n".join(["mean,difference", *[f"{m!r},{d!r}" for m, d in pairs]]) + "\n"
 
 
 def run_pipeline(

@@ -9,15 +9,15 @@ always loses to the stronger column that made it redundant.
 
 Both filters emit subsequences of their input dictionary, as views that form
 no rows: kept columns stay in dictionary order and every drop is recorded in
-the report.  Importance keeps its drops as a view and a |corr| array, and
-makes their records only when they are read.  Each |corr(z_j, y)| comes
-from the centered row's norm and response product, the dot products
-``pearson_correlation`` would take, with no call per correlation.  A built
-dictionary carries them from the builder's one pass over its rows, so
-importance forms no row and redundancy forms and centers only its input's
-rows, for the sweep; a dictionary made from a matrix, or another response,
-takes them in that same pass.  The redundancy sweep scores each candidate
-against every kept column with one matrix-vector product, and
+the report as ``Records``, one list per field, with each term as its
+canonical key, so no ``TermExpr`` is made to log a drop.  Each
+|corr(z_j, y)| comes from the centered row's norm and response product, the
+dot products ``pearson_correlation`` would take, with no call per
+correlation.  A built dictionary carries them from the builder's one pass
+over its rows, so importance forms no row and redundancy forms and centers
+only its input's rows, for the sweep; a dictionary made from a matrix, or
+another response, takes them in that same pass.  The redundancy sweep scores
+each candidate against every kept column with one matrix-vector product, and
 ``pearson_correlation`` decides only the pairs that product cannot certify
 below varsigma by its rounding bound.
 """
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,22 +50,34 @@ class ImportanceRule:
             raise ValueError(f"importance value must lie in [0, 1], got {self.value}")
 
 
-class UnimportantDrop(NamedTuple):
-    """A term the importance stage dropped; made only when the drops are read."""
+class Records:
+    """Flat records kept as one list per field, with no dict per record.
 
-    term: object
-    abs_corr: float
-    reason: str = "below_threshold"
+    It reads, and compares equal, as the list of dicts it stands for;
+    ``pipeline.json_text`` writes it from its columns.
+    """
+
+    def __init__(self, names, *columns):
+        self.names = names
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return (dict(zip(self.names, values)) for values in zip(*self.columns))
+
+    def __getitem__(self, i):
+        return dict(zip(self.names, [column[i] for column in self.columns]))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Records) else other)
+
+    def __repr__(self) -> str:
+        return f"Records({self.names!r}, {len(self)} rows)"
 
 
-@dataclass(frozen=True)
-class RedundantDrop:
-    term: object
-    winner: object
-    abs_corr: float
-
-
-def unimportant_reasons(corrs: np.ndarray) -> list:
+def _reasons(corrs: np.ndarray) -> list:
     """The reason of each importance drop with these |corr| values."""
     reasons = ["below_threshold"] * len(corrs)
     for i in np.flatnonzero(np.isnan(corrs)).tolist():
@@ -75,68 +85,41 @@ def unimportant_reasons(corrs: np.ndarray) -> list:
     return reasons
 
 
-def _unimportant_drops(terms: Dictionary, corrs: np.ndarray) -> tuple:
-    return tuple(map(UnimportantDrop, terms.terms, corrs.tolist(), unimportant_reasons(corrs)))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ImportanceResult:
-    """The kept view, and the dropped terms as a view with their |corr| array
-    (NaN: ``non_finite_correlation``); ``dropped`` makes their records when
-    it is first read."""
+    """The kept view, and the drops as (term, abs_corr, reason) records;
+    an undefined |corr| is None, with reason ``non_finite_correlation``."""
 
     dictionary: Dictionary
-    dropped_terms: Dictionary
-    dropped_corrs: np.ndarray
+    dropped: Records
     delta_effective: float
     max_abs_corr: float
     correlations: int  # one per term
     referee_calls: int  # pearson_correlation calls
 
-    @cached_property
-    def dropped(self) -> tuple:
-        return _unimportant_drops(self.dropped_terms, self.dropped_corrs)
-
 
 @dataclass(frozen=True)
 class RedundancyResult:
+    """The kept view, and the drops as (term, winner, abs_corr) records."""
+
     dictionary: Dictionary
-    dropped: tuple
+    dropped: Records
     correlations: int  # one per survivor, and each pair up to its eliminator
     referee_calls: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScreeningReport:
-    """Combined record of both stages for one pipeline run.
-
-    The importance drops are kept as ``ImportanceResult`` keeps them;
-    ``dropped_unimportant`` makes their records when it is first read.
-    """
+    """Combined record of both stages for one pipeline run."""
 
     kept: tuple
-    unimportant_terms: Dictionary
-    unimportant_corrs: np.ndarray
-    dropped_redundant: tuple
+    dropped_unimportant: Records
+    dropped_redundant: Records
     delta_effective: float
     max_abs_corr: float
     varsigma: float
     correlations: int  # both stages; not in the JSON report
     referee_calls: int
-
-    @cached_property
-    def dropped_unimportant(self) -> tuple:
-        return _unimportant_drops(self.unimportant_terms, self.unimportant_corrs)
-
-    def __eq__(self, other):
-        """Field by field, the importance drops compared as their records."""
-        if not isinstance(other, ScreeningReport):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _REPORT_FIELDS)
-
-
-_REPORT_FIELDS = ("kept", "dropped_unimportant", "dropped_redundant", "delta_effective",
-                  "max_abs_corr", "varsigma", "correlations", "referee_calls")
 
 
 # The sweep certifies that a pair eliminates nothing when its |corr| from the
@@ -157,9 +140,9 @@ def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
     The norms and dot products are the ones the dictionary carries when
     ``y`` has the bits of the response it carries them for; otherwise
     ``_centered_dots`` takes them, in the pass the builder makes.  Either
-    way each block is centered as ``center_rows`` centers it and each row
-    takes the ddots ``pearson_correlation`` takes, so every value has the
-    referee's bits.  NaN marks a correlation the referee leaves undefined (a
+    way each row of a block is centered with the bits ``center`` gives the
+    lone row, and takes the ddots ``pearson_correlation`` takes, so every
+    value has the referee's bits.  NaN marks a correlation the referee leaves undefined (a
     norm product outside (0, inf)); a NaN quotient clips to -1, as
     ``min(1, max(-1, nan))`` does.  ``rows``, if given, receives the centered
     rows; no other centered row outlives its block.
@@ -212,11 +195,16 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     kept = corrs >= threshold
     if not kept.any():
         raise AllColumnsDropped(max_abs)
-    cut = np.flatnonzero(~kept)
+    cut = corrs[~kept]
+    dropped = Records(
+        ("term", "abs_corr", "reason"),
+        z.subset(np.flatnonzero(~kept)).keys(),
+        np.where(np.isnan(cut), None, cut).tolist(),
+        _reasons(cut),
+    )
     return ImportanceResult(
         dictionary=z.subset(np.flatnonzero(kept)),
-        dropped_terms=z.subset(cut),
-        dropped_corrs=corrs[cut],
+        dropped=dropped,
         delta_effective=threshold,
         max_abs_corr=max_abs,
         correlations=len(z),
@@ -252,7 +240,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     kept = []  # indices in sweep order
     kept_rows = np.empty_like(rows)  # their rows; pages past the kept ones stay untouched
     kept_norms = np.empty(len(z1))
-    dropped = []
+    losers, winners, drop_corrs = [], [], []
     correlations = len(z1)
     referee_calls = 0
     for i in order:
@@ -263,7 +251,9 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
             r = abs(pearson_correlation(columns[i], columns[kept[position]]))
             if r > varsigma:
                 correlations += position + 1
-                dropped.append(RedundantDrop(z1.terms[i], z1.terms[kept[position]], r))
+                losers.append(keys[i])
+                winners.append(keys[kept[position]])
+                drop_corrs.append(r)
                 break
         else:
             correlations += t
@@ -272,7 +262,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
             kept.append(i)
     return RedundancyResult(
         dictionary=z1.subset(sorted(kept)),
-        dropped=tuple(dropped),
+        dropped=Records(("term", "winner", "abs_corr"), losers, winners, drop_corrs),
         correlations=correlations,
         referee_calls=referee_calls,
     )
@@ -284,8 +274,7 @@ def screen(z: Dictionary, y: np.ndarray, rule: ImportanceRule, varsigma: float):
     redundancy = redundancy_filter(importance.dictionary, y, varsigma)
     report = ScreeningReport(
         kept=redundancy.dictionary.terms,
-        unimportant_terms=importance.dropped_terms,
-        unimportant_corrs=importance.dropped_corrs,
+        dropped_unimportant=importance.dropped,
         dropped_redundant=redundancy.dropped,
         delta_effective=importance.delta_effective,
         max_abs_corr=importance.max_abs_corr,

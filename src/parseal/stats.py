@@ -71,9 +71,9 @@ def _as_finite_vector(v, name: str) -> np.ndarray:
 class CenteredColumn:
     """A vector minus its mean, and the Euclidean norm of the result.
 
-    Made by ``center`` or ``center_rows``; ``pearson_correlation`` takes one
-    in place of the raw vector, so a column correlated many times is
-    validated and centered once.
+    Made by ``center``; ``pearson_correlation`` takes one in place of the
+    raw vector, so a column correlated many times is validated and centered
+    once.
     """
 
     values: np.ndarray
@@ -86,29 +86,12 @@ def center(a, name: str = "vector") -> CenteredColumn:
     Raises ``NonFinite`` for NaN or infinite entries and ``InsufficientData``
     for fewer than two of them.
     """
-    return center_rows(_as_finite_vector(a, name)[None, :])[0]
-
-
-def center_rows(block: np.ndarray) -> list:
-    """One ``CenteredColumn`` per row of a (k, n) block: C-contiguous, or one row.
-
-    The block is centered in one operation.  Row means run along the rows
-    and sum in the order a 1-d vector's mean does, so each row gets the
-    bits of ``row - row.mean()``; each norm is one dot product.  Raises
-    ``InsufficientData`` for fewer than two columns and ``NonFinite`` for a
-    row holding NaN or infinite entries.
-    """
-    if block.shape[1] < 2:
+    v = _as_finite_vector(a, name)
+    if v.shape[0] < 2:
         raise InsufficientData("correlation needs at least two observations")
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, centered in enumerate(block - block.mean(axis=1)[:, None]):
-            norm = math.sqrt(float(centered.dot(centered)))
-            # A finite row gives a NaN norm only when its sum overflows both ways.
-            if math.isnan(norm) and not np.all(np.isfinite(block[k])):
-                raise NonFinite("vector contains NaN or infinite entries")
-            out.append(CenteredColumn(centered, norm))
-    return out
+        centered = v - v.mean()
+        return CenteredColumn(centered, math.sqrt(float(centered.dot(centered))))
 
 
 def pearson_correlation(a, b) -> float:

@@ -804,9 +804,9 @@ def test_batched_ddots_match_the_per_row_ddots(kinds, n, seed):
 
 
 def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
-    from parseal import SelectionConfig, pipeline, run_pipeline, screening
+    from parseal import SelectionConfig, pipeline, run_pipeline
 
-    made = {"terms": 0, "unimportant_drops": 0, "records_read": 0}
+    made = {"terms": 0, "records_read": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -817,8 +817,6 @@ def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
     of_sorted = counting("terms", TermExpr._of_sorted)
     monkeypatch.setattr(TermExpr, "_of_sorted", classmethod(lambda cls, f, k: of_sorted(f, k)))
     monkeypatch.setattr(TermExpr, "__post_init__", counting("terms", TermExpr.__post_init__))
-    drop = counting("unimportant_drops", screening.UnimportantDrop)
-    monkeypatch.setattr(screening, "UnimportantDrop", drop)
     for method in ("__iter__", "__getitem__"):
         read = counting("records_read", getattr(pipeline.Records, method))
         monkeypatch.setattr(pipeline.Records, method, read)
@@ -829,8 +827,8 @@ def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
     screened = report.screening
     survivors = len(screened["kept"]) + len(screened["dropped_redundant"])
     assert report.dictionary["kept_terms"] == 21_560 and survivors < 5_000
-    assert counts["terms"] <= survivors + len(report.selected_model["term_keys"])
-    assert counts["unimportant_drops"] == 0
+    # A TermExpr is made for each kept term, and for no dropped one.
+    assert counts["terms"] <= len(screened["kept"])
     # No drop record became a dict, to write the report or to keep it.
     assert counts["records_read"] == 0
     assert _dicts_with(report.screening, "abs_corr") == 0

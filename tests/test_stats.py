@@ -16,7 +16,8 @@ from parseal import (
     synth_example1,
     vif,
 )
-from parseal.stats import center, center_rows, format_p_value
+from parseal import dictionary
+from parseal.stats import center, format_p_value
 from parseal.errors import (
     InsufficientData,
     InvalidDf,
@@ -127,33 +128,34 @@ def test_center_rows_gives_each_row_the_bits_of_a_lone_vector(n, k, scale, seed)
     rng = philox(seed)
     block = rng.normal(size=(k, n)) * scale + rng.choice([0.0, 3.0 * scale], size=(k, 1))
     block[0] = 2.5  # a constant row
+    # Each term is one row times the all-ones padding row.
+    factor_rows = np.vstack([block, np.ones(n)])
+    recipe = np.stack([np.arange(k), np.full(k, k)], axis=1)
+    rows = np.empty((k, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = center_rows(block)
-        assert len(rows) == k
-        for got, row in zip(rows, block):
+        _, squares, _, _ = dictionary._centered_dots(factor_rows, recipe, np.zeros(n), rows)
+        for got, square, row in zip(rows, squares.tolist(), block):
             # The reference arithmetic, on a fresh 1-d copy of the row.
             ac = row.copy() - row.copy().mean()
-            norm = math.sqrt(float(ac @ ac))
-            assert got.values.tobytes() == ac.tobytes()
-            assert got.norm == norm or (math.isnan(got.norm) and math.isnan(norm))
+            want = float(ac @ ac)
+            assert got.tobytes() == ac.tobytes()
+            assert square == want or (math.isnan(square) and math.isnan(want))
 
 
-def test_center_rows_validates_like_center():
-    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
-        center_rows(np.array([[1.0, 2.0, 3.0], [1.0, float("inf"), 2.0]]))
+def test_center_validates_and_keeps_an_overflowing_norm_nan():
     with pytest.raises(NonFinite):
-        center_rows(np.array([[float("nan"), 2.0, 3.0]]))
+        center(np.array([1.0, float("inf"), 2.0]))
+    with pytest.raises(NonFinite):
+        center(np.array([float("nan"), 2.0, 3.0]))
     with pytest.raises(InsufficientData):
-        center_rows(np.ones((3, 1)))
-    # Finite entries whose sum overflows both ways give a NaN norm, as in
-    # ``center``, not an error.
+        center(np.ones(1))
+    # Finite entries whose sum overflows both ways give a NaN norm, not an
+    # error.
     row = np.zeros(32)
     row[0::8] = 1.7e308  # numpy's pairwise sum puts these in one partial sum
     row[1::8] = -1.7e308  # and these in another
     with np.errstate(over="ignore", invalid="ignore"):
-        (got,) = center_rows(row[None, :])
-        want = center(row)
-    assert math.isnan(want.norm)
+        got = center(row)
     assert math.isnan(got.norm)
 
 
