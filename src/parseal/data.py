@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,56 @@ def load_csv(path, response: str) -> Dataset:
             f"response column {response!r} not found in header {header}"
         )
     response_idx = header.index(response)
+    try:
+        table = _fast_table(reader, len(header))
+    except csv.Error:
+        table = None
+    if table is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        table = _cell_table(reader, header)
+    if len(table) < 3:
+        raise InsufficientData(f"need at least three data rows, got {len(table)}")
+    predictor_idx = [i for i in range(len(header)) if i != response_idx]
+    return Dataset(
+        variable_names=tuple(header[i] for i in predictor_idx),
+        columns=table[:, predictor_idx],
+        response_name=response,
+        response=table[:, response_idx],
+    )
+
+
+def _fast_table(reader, width: int):
+    """The data rows as an (n, width) array, or None if any row needs a closer look.
+
+    That is a ragged row, a data row after a blank line, a cell ``float``
+    rejects or a non-finite value; ``_cell_table`` then names the first one.
+    The cells stream into the array, so no list of rows or cells is held.
+    """
+    closer_look = []
+
+    def rows():
+        blank = False
+        for row in reader:
+            if not row:
+                blank = True
+            elif blank or len(row) != width:
+                closer_look.append(row)
+                return
+            else:
+                yield row
+
+    try:
+        flat = np.fromiter(map(float, itertools.chain.from_iterable(rows())), dtype=np.float64)
+    except ValueError:
+        return None
+    if closer_look or not np.isfinite(flat).all():
+        return None
+    return flat.reshape(-1, width)
+
+
+def _cell_table(reader, header: list) -> np.ndarray:
+    """Parse the data rows cell by cell, raising on the first bad row or cell."""
     rows = []
     blank = None  # the first blank line; only blank lines may follow it
     for row_number, row in enumerate(reader):
@@ -133,16 +184,7 @@ def load_csv(path, response: str) -> Dataset:
                 )
             parsed.append(value)
         rows.append(parsed)
-    if len(rows) < 3:
-        raise InsufficientData(f"need at least three data rows, got {len(rows)}")
-    table = np.asarray(rows, dtype=np.float64)
-    predictor_idx = [i for i in range(len(header)) if i != response_idx]
-    return Dataset(
-        variable_names=tuple(header[i] for i in predictor_idx),
-        columns=table[:, predictor_idx],
-        response_name=response,
-        response=table[:, response_idx],
-    )
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -1,11 +1,23 @@
 """Subset scores from the correlation matrix, with rounding bounds.
 
-``GramScorer`` computes the adjusted R^2 and the VIFs of many same-size
-subsets at once from the standardized columns' correlation matrix, and says
-for each subset whether those numbers certify it infeasible, certify it
-feasible (with a bound on how far its objective can lie from the QR
-scorer's), or cannot decide it.  The search in ``selection`` hands every
-undecided subset, and every certified one near the best, to the QR scorer.
+``GramScorer`` computes the adjusted R^2 and the VIFs of subsets from the
+standardized columns' correlation matrix, and says for each subset whether
+those numbers certify it infeasible, certify it feasible (with a bound on how
+far its objective can lie from the QR scorer's), or cannot decide it.  The
+search in ``selection`` hands every undecided subset, and every certified one
+near the best, to the QR scorer.
+
+Scoring is prefix-shared.  A subset S + (j,) factors C_SS = L L' with the
+rows of L and W = L^-1 that S already has, plus one new last row of each,
+and extends S's column sums of W (the VIFs and the standardized
+coefficients) by that row.  The new rows come from the left-looking
+recurrences of a full factorization, and every other sum runs over the same
+elements in the same order as a full factorization's would, so a subset's
+status, objective and bound have the bits of scoring its k x k block from
+scratch.  (W's upper triangle is held as exact zeros where a full
+factorization leaves zeros of either sign; a zero's sign reaches no score.)
+``exhaustive`` walks the lexicographic subset tree depth first in batches of
+at most ``_BATCH`` subsets per size.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import math
 
 import numpy as np
 
+from .linalg import RANK_TOL
 from .stats import _COLLINEARITY_R2
 
 # Rounding bounds of the correlation route against the QR scorer.
@@ -48,20 +61,37 @@ from .stats import _COLLINEARITY_R2
 # rather than exact L, RSS and beta.  A certified candidate is rescored by
 # QR when its objective plus its bound reaches the largest objective minus
 # bound at its size; exact ties fall inside that band.
+#
+# Every bound above is invariant under a symmetric permutation of C_SS, so
+# it holds for a subset factored in any column order.
 _U = 2.0**-53
 _SLACK = 2.0
 _MAX_X = 0.125
 _QR_BACKWARD = 8
-# Rank: pivoted QR takes the largest-norm column first, so |R_00| is the
-# largest uncentered column norm of X = [1, X_S] and every |R_ii| >=
-# sigma_min(X) minus the backward error.  Writing x_j = m_j + s_j z_j gives
-# X = [1, Z_S D] T with D = diag(s) and T = [[1, m'], [0, I]], so
+# Rank: ``qr_factorize`` counts column i as independent when |R_ii| >
+# RANK_TOL |R_00|.  Householder QR returns the exact R of X + dX with
+# ||dx_j|| <= g ||x_j||, g = gamma(8 n (k + 1)), for X = [1, X_S] of k + 1
+# columns.  Pivoting takes the largest-norm column first, so with top =
+# max diag(X'X), |R_00| <= (1 + g) sqrt(top) and ||dX||_2 <= g sqrt(k + 1)
+# sqrt(top); every diagonal of a triangular matrix is at least its smallest
+# singular value, so
+#     min |R_ii| >= sigma_min(X) - g sqrt(k + 1) sqrt(top),
+# and the test passes once sigma_min(X) > need sqrt(top) with
+#     need = RANK_TOL (1 + b) + b,  b = g sqrt(k + 1).
+# Writing x_j = m_j + s_j z_j gives X = [1, Z_S D] T with D = diag(s) and
+# T = [[1, m'], [0, I]], so
 #     trace((X'X)^-1) = 1/n + (m/s)' C_SS^-1 (m/s) + sum_j VIF_j / s_j^2
-# and lambda_min(X'X) >= 1 / trace((X'X)^-1).  Requiring that bound to reach
-# 1e-8 max diag(X'X) puts sigma_min at 1e-4 |R_00|, 10^6 times RANK_TOL.
-# The trace is inflated by its rounding bound (2 x relative, plus
+# and sigma_min(X)^2 >= 1 / trace((X'X)^-1).  The certificate asks that
+# bound to reach _RANK_MARGIN times need, in sigma: trace top (100 need)^2
+# <= 1.  The trace is inflated by its rounding bound (2 x relative, plus
 # 2 x L ||m/s||^2 for the quadratic term) before the test.
-_RANK_CERT = 1e-8
+_RANK_MARGIN = 100.0
+# numpy sums a contiguous row shorter than this in index order, and a longer
+# one pairwise (``_row_sum``); along a strided axis it sums in index order.
+_SEQUENTIAL = 8
+# Subsets scored per batch.  At 8 terms a batch's (k, k, m) arrays take
+# 512 kB each, and the walk holds one batch per size.
+_BATCH = 1024
 
 INFEASIBLE, FEASIBLE, REFEREE = 0, 1, 2
 
@@ -70,13 +100,86 @@ def _gamma(m: float) -> float:
     return m * _U / (1.0 - m * _U)
 
 
+def _rank_floor(n: int, k: int) -> float:
+    """The certificate's floor on sigma_min(X)^2 / top for k predictors."""
+    backward = _gamma(_QR_BACKWARD * n * (k + 1)) * math.sqrt(k + 1)
+    need = RANK_TOL * (1.0 + backward) + backward
+    return (_RANK_MARGIN * need) ** 2
+
+
+def _index_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in index order, ((t0 + t1) + t2) + ..., as numpy sums a strided axis.
+
+    numpy reduces axis 0 of a C-ordered array in index order, one
+    whole-array add per term, when another axis is longer than 1; when none
+    is, axis 0 is the array's only axis and numpy sums it pairwise.
+    """
+    if len(terms) == 0 or terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy sums a contiguous row of that length.
+
+    Below _SEQUENTIAL terms that is index order.  Up to 128 it is eight
+    interleaved partial sums, combined as a tree, then the remainder in
+    index order; a longer row is split in two at a multiple of eight.
+    """
+    n = len(terms)
+    if n < _SEQUENTIAL:
+        return _index_sum(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    tail = n - n % 8
+    part = terms[:8].copy()
+    for i in range(8, tail, 8):
+        part += terms[i : i + 8]
+    low = (part[0] + part[1]) + (part[2] + part[3])
+    total = low + ((part[4] + part[5]) + (part[6] + part[7]))
+    for term in terms[tail:]:
+        total += term
+    return total
+
+
+def _grown(triangle: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The (j, j, m) lower triangles with ``row`` appended as row j, zeros above it."""
+    j, m = len(triangle), row.shape[1]
+    out = np.zeros((j + 1, j + 1, m))
+    out[:j, :j] = triangle
+    out[j] = row
+    return out
+
+
+class Subsets:
+    """A batch of same-size subsets and their scores.
+
+    ``cols`` is (k, m): row t holds column t of each subset, in
+    factorization order.  ``status``, ``objective`` and ``bound`` classify
+    the subsets.  A batch kept for extension also carries the lower
+    triangles of L and W = L^-1 as (k, k, m) arrays (upper triangles exactly
+    zero), the pivot flags, and the partial sums its extensions reuse.
+    """
+
+    def __init__(self, cols, **arrays):
+        self.cols = cols
+        vars(self).update(arrays)
+
+    def combo(self, row: int) -> tuple:
+        return tuple(self.cols[:, row].tolist())
+
+
 class GramScorer:
     """Adjusted R^2 and VIFs of subsets from one standardization per search.
 
-    ``evaluate(idx)`` classifies each row of an (m, k) index array as
-    certified infeasible, certified feasible (with its objective and
-    rounding bound), or left to the QR referee.  Rows of C are formed on
-    demand by ``cache``: all of them for an exhaustive search, one per added
+    ``extend`` scores a batch of subsets, each one column longer than a
+    subset of a scored batch.  ``exhaustive`` drives it for the exhaustive
+    search, ``appended`` and ``grow`` for the greedy one.  Rows of C are
+    formed on demand: all of them for an exhaustive search, one per added
     term for the greedy search.
     """
 
@@ -96,6 +199,7 @@ class GramScorer:
         self.usable = usable
         self.mean = np.where(usable, mean, 0.0)
         self.s = s
+        self.shift = self.mean / s
         self.sq_norm = np.where(usable, sq_norm, 0.0)
         self.rho = np.where(usable, np.sqrt(self.sq_norm) / s, 1.0)
         self.y_mean = float(y.mean())
@@ -121,40 +225,131 @@ class GramScorer:
         if len(self.rows) == len(self.pos):
             self.z = None  # every row is formed; free the n x p copy
 
-    def _blocks(self, idx: np.ndarray) -> np.ndarray:
-        """C_SS for every row of ``idx``; off-diagonal pairs need one cached row.
+    def exhaustive(self, order, k_cap: int):
+        """Score every subset of 1 to ``k_cap`` columns of ``order``; yield batches.
 
-        The diagonal of a correlation matrix is exactly 1, so it is set, not
-        computed.
+        Each size's subsets arrive in ``itertools.combinations(order, k)``
+        order.  A batch's extensions follow it depth first, so the walk holds
+        at most one batch per size whatever C(p, k) is.
         """
-        m, k = idx.shape
-        if k == 1:
-            return np.ones((m, 1, 1))
-        ia, ib = idx[:, :, None], idx[:, None, :]
-        pa, pb = self.pos[ia], self.pos[ib]
-        blocks = np.where(
-            pa >= 0, self.rows[np.maximum(pa, 0), ib], self.rows[np.maximum(pb, 0), ia]
-        )
-        blocks[:, np.arange(k), np.arange(k)] = 1.0
-        return blocks
+        order = np.asarray(order, dtype=np.intp)
+        if k_cap > 1:
+            self.cache(order.tolist())
 
-    def evaluate(self, idx: np.ndarray):
-        """Return ``(status, objective, bound)`` arrays for the rows of ``idx``."""
-        m, k = idx.shape
-        n = self.n
+        def expand(prefixes: Subsets, last: np.ndarray):
+            # ``last``: the position in ``order`` of each prefix's last column.
+            k = len(prefixes.cols) + 1
+            counts = len(order) - 1 - last
+            ends = np.cumsum(counts)
+            for start in range(0, int(ends[-1]), _BATCH):
+                ids = np.arange(start, min(start + _BATCH, int(ends[-1])))
+                parent = np.searchsorted(ends, ids, side="right")
+                pos = last[parent] + 1 + ids - (ends[parent] - counts[parent])
+                batch = self.extend(prefixes, parent, order[pos], keep=k < k_cap)
+                yield batch
+                if k < k_cap:
+                    yield from expand(batch, pos)
+
+        yield from expand(self.root(), np.array([-1]))
+
+    def appended(self, prefix: Subsets, cols):
+        """Score ``prefix`` plus each column j of ``cols`` (j last); yield batches.
+
+        ``prefix`` is one subset made by ``root`` and ``grow``.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        for start in range(0, len(cols), _BATCH):
+            chunk = cols[start : start + _BATCH]
+            yield self.extend(prefix, np.zeros(len(chunk), dtype=np.intp), chunk, keep=False)
+
+    def grow(self, prefix: Subsets, col: int) -> Subsets:
+        """``prefix`` with column ``col`` appended, kept for extension; forms its row of C."""
+        self.cache([col])
+        return self.extend(prefix, np.zeros(1, dtype=np.intp), np.array([col]))
+
+    def root(self) -> Subsets:
+        """The empty subset, which every subset extends."""
+        empty = np.empty((0, 1))
+        return Subsets(
+            np.empty((0, 1), dtype=np.intp),
+            factor=np.empty((0, 0, 1)),
+            inverse=np.empty((0, 0, 1)),
+            pivots_ok=np.ones(1, dtype=bool),
+            vifs=empty,
+            whitened=empty,
+            beta_std=empty,
+            lifted=empty,
+        )
+
+    def _pairs(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        """C[new_r, old_tr] from the row of ``new`` when it is formed, else of ``old``."""
+        pa, pb = self.pos[new], self.pos[old]
+        return np.where(
+            pa >= 0, self.rows[np.maximum(pa, 0), old], self.rows[np.maximum(pb, 0), new]
+        )
+
+    def extend(self, prefixes: Subsets, parent, new, keep: bool = True) -> Subsets:
+        """Score ``prefixes.combo(parent[r]) + (new[r],)`` for every r.
+
+        The new column is last in factorization order.  With ``keep`` the
+        batch carries what its own extensions reuse.
+        """
+        j, m, n = len(prefixes.cols), len(new), self.n
+        k = j + 1
+        cols = np.empty((k, m), dtype=np.intp)
+        cols[:j] = prefixes.cols[:, parent]
+        cols[j] = new
+        factor = prefixes.factor[:, :, parent]
+        inverse = prefixes.inverse[:, :, parent]
         with np.errstate(all="ignore"):
-            # C_SS^-1 = W' W with W = L^-1, so VIF_j is the squared norm of
-            # column j of W and R^2 = ||W c_S||^2.
-            inv_factor, ok = _inverse_cholesky_factor(self._blocks(idx))
-            ok &= self.usable[idx].all(axis=1)
-            vifs = (inv_factor * inv_factor).sum(axis=1)
-            whitened = (inv_factor * self.c[idx][:, None, :]).sum(axis=2)
-            r2 = (whitened * whitened).sum(axis=1)
-            beta_std = (inv_factor * whitened[:, :, None]).sum(axis=1)
-            trace = vifs.sum(axis=1)
-            rho = np.maximum(self.rho[idx].max(axis=1), self.rho_y)
+            # The new last row of L, left-looking: L_jt = (C_jt - sum_s<t
+            # L_js L_ts) / L_tt, each sum a row of length t as in a full
+            # factorization.  A pivot that is not positive fails the subset,
+            # and its diagonal (and every later one) is set to 1.
+            cross = self._pairs(new, cols[:j])
+            row = np.empty((k, m))
+            for t in range(j):
+                row[t] = (cross[t] - _row_sum(row[:t] * factor[t, :t])) / factor[t, t]
+            head = row[:j]
+            pivot = 1.0 - _row_sum(head * head)
+            pivots_ok = prefixes.pivots_ok[parent] & (pivot > 0.0)
+            row[j] = np.sqrt(np.where(pivots_ok, pivot, 1.0))
+            # The new last row of W, from row j of L W = I, summed down the rows.
+            w = np.empty((k, m))
+            w[:j] = -_index_sum(head[:, None] * inverse) / row[j]
+            w[j] = 1.0 / row[j]
+
+            # C_SS^-1 = W' W, so VIF_t is the squared norm of column t of W
+            # and R^2 = ||W c_S||^2.  A column sum runs down the rows, so the
+            # new row extends it.
+            vifs = np.empty((k, m))
+            vifs[:j] = prefixes.vifs[:, parent] + w[:j] * w[:j]
+            vifs[j] = w[j] * w[j]
+            c_s, shift = self.c[cols], self.shift[cols]
+            if k < _SEQUENTIAL:
+                # An old row of W gains a zero term, which leaves its index-
+                # order sum as it was; only the new row is summed.
+                whitened = np.empty((k, m))
+                whitened[:j] = prefixes.whitened[:, parent]
+                whitened[j] = _row_sum(w * c_s)
+                lifted = np.empty((k, m))
+                lifted[:j] = prefixes.lifted[:, parent]
+                lifted[j] = _row_sum(w * shift)
+                beta_std = np.empty((k, m))
+                beta_std[:j] = prefixes.beta_std[:, parent] + w[:j] * whitened[j]
+                beta_std[j] = w[j] * whitened[j]
+            else:
+                # A pairwise sum changes with the row's length: sum every row.
+                whole = _grown(inverse, w)
+                whitened = _row_sum((whole * c_s).swapaxes(0, 1))
+                lifted = _row_sum((whole * shift).swapaxes(0, 1))
+                beta_std = _index_sum(whole * whitened[:, None])
+            r2 = _row_sum(whitened * whitened)
+            trace = _row_sum(vifs)
+            rho = np.maximum(self.rho[cols].max(axis=0), self.rho_y)
             eps = _gamma(n + 3) * (3.0 + 2.0 * rho) + 3.0 * _gamma(k + 1)
             x = k * trace * eps
+            ok = pivots_ok & self.usable[cols].all(axis=0)
             ok &= np.isfinite(x) & (x <= _MAX_X) & np.isfinite(r2)
 
             if k == 1:
@@ -162,23 +357,21 @@ class GramScorer:
                 vif_bad = ~vif_ok
             else:
                 band = 4.0 * x
-                worst = vifs.max(axis=1)
+                worst = vifs.max(axis=0)
                 vif_ok = worst < self.vif_limit * (1.0 - band)
                 vif_bad = worst >= self.vif_limit * (1.0 + band)
 
-            mu, sd = self.mean[idx], self.s[idx]
-            shift = mu / sd
-            lifted = (inv_factor * shift[:, None, :]).sum(axis=2)
+            mu, sd = self.mean[cols], self.s[cols]
             gram_trace = (1.0 + 2.0 * x) * (
-                1.0 / n + (lifted * lifted).sum(axis=1) + (vifs / (sd * sd)).sum(axis=1)
-            ) + 2.0 * x * trace * (shift * shift).sum(axis=1)
-            top = np.maximum(self.sq_norm[idx].max(axis=1), n)
-            rank_ok = gram_trace * top * _RANK_CERT <= 1.0
+                1.0 / n + _row_sum(lifted * lifted) + _row_sum(vifs / (sd * sd))
+            ) + 2.0 * x * trace * _row_sum(shift * shift)
+            top = np.maximum(self.sq_norm[cols].max(axis=0), n)
+            rank_ok = gram_trace * top * _rank_floor(n, k) <= 1.0
 
             beta = beta_std * self.y_scale / sd
-            intercept = self.y_mean - (beta * mu).sum(axis=1)
-            scale = self.y_norm + np.sqrt(n + self.sq_norm[idx].sum(axis=1)) * np.sqrt(
-                intercept * intercept + (beta * beta).sum(axis=1)
+            intercept = self.y_mean - _row_sum(beta * mu)
+            scale = self.y_norm + np.sqrt(n + _row_sum(self.sq_norm[cols])) * np.sqrt(
+                intercept * intercept + _row_sum(beta * beta)
             )
             delta = 3.0 * _gamma(_QR_BACKWARD * n * (k + 1)) * scale
             unexplained = np.maximum(1.0 - r2, 0.0)
@@ -193,29 +386,17 @@ class GramScorer:
         status = np.full(m, REFEREE)
         status[ok & vif_bad] = INFEASIBLE
         status[ok & vif_ok & rank_ok] = FEASIBLE
-        return status, objective, bound
-
-
-def _inverse_cholesky_factor(blocks: np.ndarray):
-    """W = L^-1 for the lower Cholesky factor L of each (k, k) block.
-
-    Returns ``(W, ok)``; ``ok`` is False where a pivot is not positive, and
-    that row of W is meaningless.
-    """
-    m, k, _ = blocks.shape
-    factor = np.zeros_like(blocks)
-    ok = np.ones(m, dtype=bool)
-    for j in range(k):
-        row = factor[:, j, :j]
-        pivot = blocks[:, j, j] - (row * row).sum(axis=1)
-        ok &= pivot > 0.0
-        factor[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
-        below = blocks[:, j + 1 :, j] - (factor[:, j + 1 :, :j] * row[:, None, :]).sum(axis=2)
-        factor[:, j + 1 :, j] = below / factor[:, j, j][:, None]
-    inverse = np.zeros_like(blocks)
-    for i in range(k):
-        # Row i of L W = I, solved for row i of W.
-        rhs = -(factor[:, i, :i, None] * inverse[:, :i, :]).sum(axis=1)
-        rhs[:, i] += 1.0
-        inverse[:, i, :] = rhs / factor[:, i, i][:, None]
-    return inverse, ok
+        scores = dict(status=status, objective=objective, bound=bound)
+        if not keep:
+            return Subsets(cols, **scores)
+        return Subsets(
+            cols,
+            factor=_grown(factor, row),
+            inverse=whole if k >= _SEQUENTIAL else _grown(inverse, w),
+            pivots_ok=pivots_ok,
+            vifs=vifs,
+            whitened=whitened,
+            beta_std=beta_std,
+            lifted=lifted,
+            **scores,
+        )

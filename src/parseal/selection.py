@@ -12,9 +12,12 @@ Scoring route.  Adjusted R^2 and every VIF of a subset S depend only on the
 correlation matrix C of the standardized screened columns and on c, their
 inner products with the standardized response: R^2 = c_S' C_SS^-1 c_S and
 VIF_j = diag(C_SS^-1)_j.  Both searches standardize once per search, form C
-(by rows, as the subsets need them) and c, and score candidates of one size
-in fixed-size chunks with batched Cholesky factorizations of the k x k
-blocks, so the cost of a candidate does not grow with the row count.
+(by rows, as the subsets need them) and c, and score candidates in batches
+of index arrays by prefix: a candidate extends the Cholesky factor of its
+prefix, and the inverse of that factor, by one row (``gram``).  The
+exhaustive search walks the lexicographic subset tree depth first; each
+greedy step extends the current set by every remaining term.  So the cost of
+a candidate grows neither with the row count nor with the cube of its size.
 
 Exact confirmation.  The QR scorer (pivoted QR for rank, ``vif`` for the
 cap, the residual for R^2) stays the referee.  It decides every candidate
@@ -29,7 +32,6 @@ reported number come from QR, and ``candidates_evaluated`` and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,12 +59,6 @@ from .gram import FEASIBLE, REFEREE, GramScorer
 from .linalg import DesignMatrix, _solve_from_factorization, qr_factorize
 from .screening import ImportanceRule
 from .stats import ModelFit, ols_fit, vif
-
-# Candidates scored per batch.  At the default cap of 8 terms a chunk's
-# (m, k, k) arrays take 128 kB each and its whole working set stays near
-# 1 MB, small next to the dictionary the search runs beside.
-_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -149,50 +145,57 @@ def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float)
     return score
 
 
-def _best_of_size(gram: GramScorer, score, combos, k: int):
-    """Score same-size candidates given in search order.
+class _Best:
+    """The QR-confirmed best of one subset size, fed its candidates in search order."""
 
-    Returns ``(evaluated, feasible, best)`` where ``best`` is ``(combo,
-    objective)`` for the first candidate attaining the largest QR objective,
-    or None when no candidate is feasible.
-    """
-    evaluated = 0
-    feasible = 0
-    decided = []  # (position, combo, QR objective)
-    contenders = []  # (position, combo, objective + bound), certified feasible
-    floor = -math.inf  # largest certified objective minus its bound
-    combos = iter(combos)
-    while chunk := list(itertools.islice(combos, _CHUNK)):
-        status, objective, bound = gram.evaluate(np.array(chunk, dtype=np.intp).reshape(-1, k))
+    def __init__(self, score):
+        self.score = score
+        self.evaluated = 0
+        self.feasible = 0
+        self.decided = []  # (position, combo, QR objective)
+        self.contenders = []  # (position, combo, objective + bound), certified feasible
+        self.floor = -math.inf  # largest certified objective minus its bound
+
+    def add(self, batch, combo) -> None:
+        """Take the next scored batch; ``combo(row)`` is a row's QR column tuple."""
+        status, objective, bound = batch.status, batch.objective, batch.bound
         for j in np.flatnonzero(status == REFEREE):
-            value = score(chunk[j])
+            candidate = combo(j)
+            value = self.score(candidate)
             if value is not None:
-                feasible += 1
-                decided.append((evaluated + j, chunk[j], value))
+                self.feasible += 1
+                self.decided.append((self.evaluated + j, candidate, value))
         certified = status == FEASIBLE
         if certified.any():
-            feasible += int(np.count_nonzero(certified))
-            floor = max(floor, float(np.max((objective - bound)[certified])))
+            self.feasible += int(np.count_nonzero(certified))
+            self.floor = max(self.floor, float(np.max((objective - bound)[certified])))
             upper = objective + bound
-            contenders = [c for c in contenders if c[2] >= floor]
-            contenders.extend(
-                (evaluated + j, chunk[j], upper[j])
-                for j in np.flatnonzero(certified & (upper >= floor))
+            self.contenders = [c for c in self.contenders if c[2] >= self.floor]
+            self.contenders.extend(
+                (self.evaluated + j, combo(j), upper[j])
+                for j in np.flatnonzero(certified & (upper >= self.floor))
             )
-        evaluated += len(chunk)
-    for position, combo, upper in contenders:
-        if upper < floor:
-            continue
-        value = score(combo)
-        if value is None:  # the QR scorer decides every candidate it sees
-            feasible -= 1
-        else:
-            decided.append((position, combo, value))
-    best = None
-    for _, combo, value in sorted(decided):
-        if best is None or value > best[1]:
-            best = (combo, value)
-    return evaluated, feasible, best
+        self.evaluated += len(status)
+
+    def result(self):
+        """Return ``(evaluated, feasible, best)``.
+
+        ``best`` is ``(combo, objective)`` for the first candidate attaining
+        the largest QR objective, or None when no candidate is feasible.
+        """
+        for position, combo, upper in self.contenders:
+            if upper < self.floor:
+                continue
+            value = self.score(combo)
+            if value is None:  # the QR scorer decides every candidate it sees
+                self.feasible -= 1
+            else:
+                self.decided.append((position, combo, value))
+        best = None
+        for _, combo, value in sorted(self.decided):
+            if best is None or value > best[1]:
+                best = (combo, value)
+        return self.evaluated, self.feasible, best
 
 
 def _key_order(zr: Dictionary):
@@ -251,16 +254,17 @@ def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel
 
     score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
     gram = GramScorer(zr.columns, y, cfg.vif_cap, tss)
-    if k_cap > 1:
-        gram.cache(order)
+    sizes = [_Best(score) for _ in range(k_cap)]
+    for batch in gram.exhaustive(order, k_cap):
+        sizes[len(batch.cols) - 1].add(batch, batch.combo)
 
     evaluated = 0
     feasible = 0
     best_obj = -math.inf
     best_combo = None
     best_by_size = {}
-    for k in range(1, k_cap + 1):
-        count, ok, best = _best_of_size(gram, score, itertools.combinations(order, k), k)
+    for k, size in enumerate(sizes, start=1):
+        count, ok, best = size.result()
         evaluated += count
         feasible += ok
         if best is None:
@@ -292,20 +296,20 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
     current: tuple = ()
     current_obj = -math.inf
     best_by_size = {}
+    prefix = gram.root()  # the current terms, factored in the order they were added
     while len(current) < k_cap:
-        gram.cache(current)
         in_current = set(current)
-        # Keep the design in canonical-key order as terms are added.
-        combos = [
-            tuple(sorted(current + (i,), key=lambda j: keys[j]))
-            for i in order
-            if i not in in_current
-        ]
-        count, ok, best = _best_of_size(gram, score, combos, len(current) + 1)
+        step = _Best(score)
+        for batch in gram.appended(prefix, [i for i in order if i not in in_current]):
+            # The QR referee sees the design in canonical-key order.
+            step.add(batch, lambda j: tuple(sorted(batch.combo(j), key=keys.__getitem__)))
+        count, ok, best = step.result()
         evaluated += count
         feasible += ok
         if best is None or best[1] <= current_obj:
             break
+        (added,) = set(best[0]) - in_current
+        prefix = gram.grow(prefix, added)
         current, current_obj = best
         best_by_size[len(current)] = current_obj
     if not current:

@@ -128,6 +128,27 @@ def test_load_csv_error_reporting(tmp_path):
     with pytest.raises(InsufficientData):
         load_csv(short, response="y")
 
+
+@pytest.mark.parametrize(
+    "rows, error, row, col",
+    [
+        # the first bad cell in row-major order decides the error
+        (["1,2", "inf,4", "oops,6"], NonFinite, 1, "a"),
+        (["1,2", "oops,4", "inf,6"], ParseError, 1, "a"),
+        (["1,2", "inf,oops", "5,6"], NonFinite, 1, "a"),
+        (["1,2", "3,4", "5,inf", "7"], NonFinite, 2, "y"),
+        (["1,2", "3", "5,inf"], ParseError, 1, None),
+        (["1,2", "", "5,nan"], ParseError, 1, None),
+    ],
+)
+def test_load_csv_names_the_first_bad_cell(tmp_path, rows, error, row, col):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error) as exc:
+        load_csv(path, response="y")
+    assert exc.value.row == row
+    assert exc.value.col == col
+
     inner_blank = tmp_path / "inner_blank.csv"
     inner_blank.write_text("a,b,y\n1,2,3\n4,5,6\n\n7,8,9\n10,11,12\n")
     with pytest.raises(ParseError, match="row 2 ") as exc:

@@ -23,8 +23,8 @@ from parseal import (
     synth_example1,
     vif,
 )
-from parseal import pipeline, selection
-from parseal.dictionary import IDENTITY
+from parseal import gram, pipeline, selection
+from parseal.dictionary import IDENTITY, build_dictionary
 from parseal.errors import (
     BudgetExceeded,
     ParsealError,
@@ -34,6 +34,8 @@ from parseal.errors import (
     ZeroVariance,
 )
 from parseal.linalg import DesignMatrix
+from parseal.screening import screen
+from test_dictionary import _dict_heavy_shaped
 
 
 def philox(seed, stream=0):
@@ -399,12 +401,8 @@ def _outcome(search, z, y, cfg):
     )
 
 
-@st.composite
-def _hard_searches(draw):
-    """Small dictionaries with the hazards of the correlation route."""
-    rng = philox(430, draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(6, 40))
-    p = draw(st.integers(2, 6))
+def _hazard_columns(draw, rng, n, p):
+    """(n, p) normal columns with the hazards of the correlation route drawn in."""
     columns = rng.normal(size=(n, p))
 
     def pick():
@@ -423,6 +421,16 @@ def _hard_searches(draw):
         columns[:, pick()] += 10.0 ** draw(st.integers(3, 9))
     if draw(st.integers(0, 3)) == 0:  # a constant column
         columns[:, pick()] = rng.normal()
+    return columns
+
+
+@st.composite
+def _hard_searches(draw):
+    """Small dictionaries with the hazards of the correlation route."""
+    rng = philox(430, draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(2, 6))
+    columns = _hazard_columns(draw, rng, n, p)
     beta = rng.normal(size=p) * (rng.random(p) < 0.5)
     noise = draw(st.sampled_from([0.0, 1e-9, 0.1, 1.0]))
     y = columns @ beta + noise * rng.normal(size=n) + rng.normal()
@@ -501,8 +509,8 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
 
     monkeypatch.setattr(selection, "qr_factorize", counted)
     results = []
-    for chunk in (selection._CHUNK, 7):
-        monkeypatch.setattr(selection, "_CHUNK", chunk)
+    for chunk in (gram._BATCH, 7):
+        monkeypatch.setattr(gram, "_BATCH", chunk)
         qr_calls.append(0)
         results.append(
             (_outcome(best_subset_search, z, y, cfg), _outcome(greedy_forward_search, z, y, cfg))
@@ -511,6 +519,25 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     assert results[0][0][3] == 14 + 91 + 364 + 1001
     # the correlation route decides nearly every candidate without a QR
     assert qr_calls[0] == qr_calls[1] < 0.05 * results[0][0][3]
+
+
+def test_rank_certificate_decides_the_dict_heavy_shaped_greedy_search(monkeypatch):
+    """Mixture-3 terms whose scales differ by 1e4 and more are certified full rank."""
+    ds = _dict_heavy_shaped()
+    cfg = SelectionConfig(alpha=2, mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
+    z = build_dictionary(ds, cfg.alpha, cfg.mixture_m)
+    zr, _ = screen(z, ds.response, cfg.importance, cfg.varsigma)
+    qr_calls = [0]
+    real_qr = selection.qr_factorize
+
+    def counted(design):
+        qr_calls[0] += 1
+        return real_qr(design)
+
+    monkeypatch.setattr(selection, "qr_factorize", counted)
+    fast = _outcome(greedy_forward_search, zr, ds.response, cfg)
+    assert qr_calls[0] <= 30
+    assert fast == _outcome(_qr_greedy, zr, ds.response, cfg)
 
 
 # ---------------------------------------------------------------------------
