@@ -8,6 +8,7 @@ feasibility checks reject the run.  Flags may also be given in a flat
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .data import load_csv, synth_example1, synth_example2, write_csv
@@ -81,6 +82,7 @@ def _read_config(path) -> dict:
     return values
 
 
+@functools.cache  # parsing makes a fresh namespace and leaves the parser as it was
 def _build_parser() -> _Parser:
     defaults = SelectionConfig()
     parser = _Parser(prog="parseal", description=__doc__)

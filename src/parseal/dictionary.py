@@ -375,36 +375,51 @@ def _blocks(factor_rows: np.ndarray, recipe: np.ndarray):
         yield start, _form(factor_rows, recipe[start:start + _BLOCK_ROWS])
 
 
-def _centered_dots(factor_rows: np.ndarray, recipe: np.ndarray, yc: np.ndarray, rows=None):
-    """Row means, ``row.dot(row)`` and ``row.dot(yc)`` of the centered term
-    rows of ``recipe``, and the index of the first row holding a NaN or inf.
+def _prefix_blocks(factor_rows: np.ndarray, runs):
+    """(first index, (k, n) rows) of the terms of ``runs``, in their order.
 
-    Each block is formed once and centered once, and each row takes the
-    ddots ``pearson_correlation`` takes: numpy's matmul gives each stacked
-    (1, n) @ (n, 1) product to the 1-d dot kernel ``ndarray.dot`` calls, so
-    a block takes both with two calls.  ``rows``, if given, receives the
-    centered rows.  A non-finite row centers to a NaN, so only rows with a
-    NaN square are formed again to find one.
+    A run is a combination's (prefixes, last): the factor-row indices of the
+    products of all its factors but the last, and of the last variable's k
+    factors.  Each chunk of ceil(``_BLOCK_ROWS`` / k) prefixes is formed once
+    and multiplied by the k last rows, row-major, into one reused buffer;
+    the multiply commutes, so every row has ``_form``'s bits.
     """
-    means = np.empty(len(recipe))
-    squares = np.empty(len(recipe))
-    products = np.empty(len(recipe))
+    n = factor_rows.shape[1]
+    buffer = np.empty((max(-(-_BLOCK_ROWS // len(last)) * len(last) for _, last in runs), n))
+    start = 0
+    for prefixes, last in runs:
+        last = factor_rows[last]
+        step = -(-_BLOCK_ROWS // len(last))
+        for a in range(0, len(prefixes), step):
+            prefix = _form(factor_rows, prefixes[a:a + step])
+            block = buffer[:len(prefix) * len(last)]
+            np.multiply(prefix[:, None], last, out=block.reshape(len(prefix), len(last), n))
+            yield start, block
+            start += len(block)
+
+
+def _centered_dots(blocks, count: int, yc: np.ndarray):
+    """Row means, ``row.dot(row)`` and ``row.dot(yc)`` of the centered rows
+    of ``blocks``, (first index, (k, n) rows) pairs covering ``count`` rows.
+
+    Each block is centered once, in place, and each row takes the ddots
+    ``pearson_correlation`` takes: numpy's matmul gives each stacked
+    (1, n) @ (n, 1) product to the 1-d dot kernel ``ndarray.dot`` calls, so
+    a block takes both with two calls.  A row holding a NaN or inf centers
+    to a NaN, so its square is NaN.
+    """
+    means = np.empty(count)
+    squares = np.empty(count)
+    products = np.empty(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, block in _blocks(factor_rows, recipe):
+        for start, block in blocks:
             stop = start + len(block)
             # block.mean(axis=1) and block - mean, in place, with their bits.
             means[start:stop] = np.add.reduce(block, 1) / block.shape[1]
             np.subtract(block, means[start:stop, None], out=block)
             squares[start:stop] = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
             products[start:stop] = (block[:, None, :] @ yc[:, None])[:, 0, 0]
-            if rows is not None:
-                rows[start:stop] = block
-    suspects = np.flatnonzero(np.isnan(squares))
-    for start, block in _blocks(factor_rows, recipe[suspects]):
-        bad = ~np.isfinite(block).all(axis=1)
-        if bad.any():
-            return means, squares, products, int(suspects[start + np.argmax(bad)])
-    return means, squares, products, None
+    return means, squares, products
 
 
 def _evaluate_factor(f: Factor, col: np.ndarray) -> np.ndarray:
@@ -549,6 +564,7 @@ def build_dictionary(
 
     keys = []
     recipes = []
+    runs = []  # (prefixes, last) of each combination, for _prefix_blocks
     for m in range(1, mixture + 1):
         for combo in itertools.combinations(range(p), m):
             keys += map("*".join, itertools.product(*(factor_keys[i] for i in combo)))
@@ -557,7 +573,11 @@ def build_dictionary(
             recipe = np.full((len(local), mixture), len(factors))
             recipe[:, :m] = local + first_row[list(combo)]
             recipes.append(recipe)
-    order = sorted(range(candidate_total), key=keys.__getitem__)
+            k = sizes[combo[-1]]
+            # A lone factor's prefix is the all-ones padding row.
+            prefixes = recipe[::k, :m - 1] if m > 1 else np.full((1, 1), len(factors))
+            runs.append((prefixes, recipe[:k, m - 1]))
+    order = np.array(sorted(range(candidate_total), key=keys.__getitem__))
     keys = np.array(keys, dtype=object)[order]
     recipe = np.concatenate(recipes)[order]
 
@@ -574,17 +594,22 @@ def build_dictionary(
     response = np.array(dataset.response, dtype=np.float64)
     yc = center(response, "response")
     with np.errstate(over="ignore", invalid="ignore"):
-        means, squares, products, bad = _centered_dots(factor_rows, recipe, yc.values)
-        if bad is not None:
-            # Raises the error of the lowest-keyed non-finite term.
-            evaluate_term(_term(factors, recipe[bad].tolist(), keys[bad]), columns)
+        # The pass runs in enumeration order; its results are put in key order.
+        stats = _centered_dots(_prefix_blocks(factor_rows, runs), candidate_total, yc.values)
+        means, squares, products = (a[order] for a in stats)
         norms = np.sqrt(squares)
         limit = (_CONSTANT_SD_REL * np.abs(means) + 1e-300) * math.sqrt(columns.shape[0])
         band = 2.0 * _gamma(columns.shape[0]) + 16.0 * _U
         constant = norms < limit
         clear = (norms < limit * (1.0 - band)) | (norms > limit * (1.0 + band))
         unclear = np.flatnonzero(~(clear & (norms >= _TINY) & (norms <= _HUGE)))
+    # A row holding a NaN or inf has a NaN norm, so it is unclear too.
     for start, block in _blocks(factor_rows, recipe[unclear]):
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            # Raises the error of the lowest-keyed non-finite term.
+            i = unclear[start + np.argmax(bad)]
+            evaluate_term(_term(factors, recipe[i].tolist(), keys[i]), columns)
         constant[unclear[start:start + len(block)]] = _is_constant(block)
 
     kept = np.flatnonzero(~constant)

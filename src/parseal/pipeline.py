@@ -103,14 +103,39 @@ def json_text(obj) -> str:
     It makes the calls that ``json``'s pure-Python encoder makes for each
     value, which an indent forces ``json.dumps`` to use, but writes a list of
     flat records -- a ``Records``, or dicts with the same str keys, such as
-    the drop records -- from one ``str.format`` template filled by C-level
-    ``map``.  A ``Records`` is written as the list of dicts it stands for.
+    the drop records -- a column at a time: each field's texts, encoded once
+    per distinct value in a column of few distinct strs, are put between
+    the field literals and joined once.  A ``Records`` is written as the
+    list of dicts it stands for.
     """
-    return _text(obj, "\n")
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
-def _text(obj, nl: str) -> str:
-    """``obj``'s JSON text; ``nl`` is the newline and indent of its own line."""
+def _write(obj, nl: str, out: list) -> None:
+    """Append ``obj``'s JSON text to ``out``; ``nl`` is the newline and indent of its own line."""
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple, Records)) and obj:
+        body = _rows_text(obj, inner)
+        if body is not None:
+            out += "[" + inner, body
+        else:
+            for k, item in enumerate(obj):
+                out.append(("," if k else "[") + inner)
+                _write(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        for k, (key, value) in enumerate(obj.items()):
+            out.append(("," if k else "{") + inner + _encode_str(_key(key)) + ": ")
+            _write(value, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(_text(obj))
+
+
+def _text(obj) -> str:
+    """The JSON text of a scalar, or of an empty list or dict."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -125,17 +150,8 @@ def _text(obj, nl: str) -> str:
         if not math.isfinite(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         return float.__repr__(obj)
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple, Records)):
-        if not obj:
-            return "[]"
-        body = _rows_text(obj, inner) or ("," + inner).join([_text(item, inner) for item in obj])
-        return "[" + inner + body + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_encode_str(_key(k)) + ": " + _text(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple, Records, dict)):
+        return "{}" if isinstance(obj, dict) else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -144,7 +160,7 @@ def _key(key) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return _text(key, "")
+        return _text(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
@@ -162,25 +178,35 @@ def _rows_text(items, nl: str) -> str | None:
             return None
         names = tuple(first)
         columns = [[row[key] for row in items] for key in first]
-    texts = []
-    for column in columns:
+    count = len(columns[0])
+    width = 2 * len(names)
+    inner = nl + "  "
+    keys = [_encode_str(name) + ": " for name in names]
+    # Record r's field j is parts[r * width + 2 j + 1], after its key; the
+    # first key of each record but the first also closes the one before.
+    parts = [nl + "}," + nl + "{" + inner + keys[0]] * (count * width + 1)
+    for j, column in enumerate(columns):
         kinds = set(map(type, column))
         if kinds <= {float, type(None)} and type(None) in kinds:
             # None, written null, stands for an undefined float such as a
             # non-finite |corr|; filter drops it (and zeros) from the check.
             if not all(map(math.isfinite, filter(None, column))):
                 return None
-            texts.append(["null" if v is None else float.__repr__(v) for v in column])
-            continue
-        write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
-            return None
-        texts.append(map(write, column))
-    inner = nl + "  "
-    entries = ("," + inner).join(
-        _encode_str(name).replace("{", "{{").replace("}", "}}") + ": {}" for name in names
-    )
-    return ("," + nl).join(map(("{{" + inner + entries + nl + "}}").format, *texts))
+            texts = ["null" if v is None else float.__repr__(v) for v in column]
+        else:
+            write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
+                return None
+            if write is _encode_str and len(set(column[:64])) <= 16:
+                # A column of few distinct strs, such as the reasons, encodes each once.
+                write = {v: _encode_str(v) for v in set(column)}.__getitem__
+            texts = map(write, column)
+        if j:
+            parts[2 * j::width] = ["," + inner + keys[j]] * count
+        parts[2 * j + 1::width] = texts
+    parts[0] = "{" + inner + keys[0]
+    parts[-1] = nl + "}"
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ canonical key, so no ``TermExpr`` is made to log a drop.  Each
 |corr(z_j, y)| comes from the centered row's norm and response product, the
 dot products ``pearson_correlation`` would take, with no call per
 correlation.  A built dictionary carries them from the builder's one pass
-over its rows, so importance forms no row and redundancy forms and centers
-only its input's rows, for the sweep; a dictionary made from a matrix, or
-another response, takes them in that same pass.  The redundancy sweep scores
-each candidate against every kept column with one matrix-vector product, and
-``pearson_correlation`` decides only the pairs that product cannot certify
-below varsigma by its rounding bound.
+over its rows, so importance forms no row; a dictionary made from a matrix,
+or another response, takes them in that same pass.  The redundancy sweep
+forms and centers its candidates a block at a time, in sweep order, and
+holds only the kept rows.  It scores each block against every kept row with
+one stacked product, and ``pearson_correlation`` decides only the pairs that
+product cannot certify below varsigma by its rounding bound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import _HUGE, _TINY, Dictionary, _centered_dots
+from .dictionary import _HUGE, _TINY, Dictionary, _blocks, _centered_dots
 from .errors import AllColumnsDropped, LengthMismatch, NonFinite, ZeroVariance
 from .gram import _U, _gamma
 from .stats import CenteredColumn, center, pearson_correlation
@@ -68,6 +68,8 @@ class Records:
         return (dict(zip(self.names, values)) for values in zip(*self.columns))
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [dict(zip(self.names, values)) for values in zip(*(c[i] for c in self.columns))]
         return dict(zip(self.names, [column[i] for column in self.columns]))
 
     def __eq__(self, other):
@@ -123,7 +125,7 @@ class ScreeningReport:
 
 
 # The sweep certifies that a pair eliminates nothing when its |corr| from the
-# matrix-vector product lies below varsigma - band.  The referee divides a
+# block's stacked product lies below varsigma - band.  The referee divides a
 # ddot of the same two rows by the same norm product S.  A length-n inner
 # product errs by at most gamma(n) ||a|| ||b|| in any summation order (Higham,
 # ASNA 2nd ed., eq. 3.5), and each computed norm by gamma(n) / 2 + u relative,
@@ -134,7 +136,7 @@ class ScreeningReport:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
+def _abs_corrs(z: Dictionary, y: np.ndarray):
     """Norms of the centered rows of ``z``, and their |corr| with ``y``.
 
     The norms and dot products are the ones the dictionary carries when
@@ -144,8 +146,7 @@ def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
     lone row, and takes the ddots ``pearson_correlation`` takes, so every
     value has the referee's bits.  NaN marks a correlation the referee leaves undefined (a
     norm product outside (0, inf)); a NaN quotient clips to -1, as
-    ``min(1, max(-1, nan))`` does.  ``rows``, if given, receives the centered
-    rows; no other centered row outlives its block.
+    ``min(1, max(-1, nan))`` does.
     """
     y = np.asarray(y, dtype=np.float64)
     yc = center(y, "response")
@@ -153,13 +154,12 @@ def _abs_corrs(z: Dictionary, y: np.ndarray, rows=None):
         raise LengthMismatch(f"vectors have lengths {z.n} and {yc.values.shape[0]}")
     if z._dots is not None and z._dots[0].tobytes() == y.tobytes():
         _, norms, products = z._dots
-        if rows is not None:
-            for index, block in z.blocks():
-                rows[index] = block - block.mean(axis=1)[:, None]
     else:
-        _, squares, products, bad = _centered_dots(z._factor_rows, z._recipe, yc.values, rows)
-        if bad is not None:
-            raise NonFinite("vector contains NaN or infinite entries")
+        _, squares, products = _centered_dots(_blocks(z._factor_rows, z._recipe), len(z), yc.values)
+        # Only a row with a NaN square may hold a NaN or inf.
+        for _, block in _blocks(z._factor_rows, z._recipe[np.isnan(squares)]):
+            if not np.isfinite(block).all():
+                raise NonFinite("vector contains NaN or infinite entries")
         norms = np.sqrt(squares)
     scale = norms * yc.norm
     r = products / scale
@@ -227,39 +227,57 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
     if len(z1) == 0:
         raise AllColumnsDropped(0.0)
-    rows = np.empty((len(z1), z1.n))
-    norms, corrs = _abs_corrs(z1, y, rows)
+    norms, corrs = _abs_corrs(z1, y)
     rank = np.nan_to_num(corrs, nan=-1.0).tolist()
     keys = z1.keys()
-    order = sorted(range(len(z1)), key=lambda i: (-rank[i], keys[i]))
+    order = np.array(sorted(range(len(z1)), key=lambda i: (-rank[i], keys[i])))
 
     limit = varsigma - (2.0 * _gamma(z1.n) * (1.0 + _gamma(z1.n + 4)) + 8.0 * _U)
     # A NaN norm sends every pair with its row to the referee.
     fast_norms = np.where((norms >= _TINY) & (norms <= _HUGE), norms, math.nan)
-    columns = [CenteredColumn(row, norm) for row, norm in zip(rows, norms.tolist())]
+    norms = norms.tolist()
     kept = []  # indices in sweep order
-    kept_rows = np.empty_like(rows)  # their rows; pages past the kept ones stay untouched
-    kept_norms = np.empty(len(z1))
+    kept_rows = np.empty((0, z1.n))  # their rows, then a block's; no view outlives a line
     losers, winners, drop_corrs = [], [], []
     correlations = len(z1)
     referee_calls = 0
-    for i in order:
+    for start, block in _blocks(z1._factor_rows, z1._recipe[order]):
+        swept = order[start:start + len(block)].tolist()
         t = len(kept)
-        approx = np.abs(kept_rows[:t] @ rows[i]) / (kept_norms[:t] * fast_norms[i])
-        for position in np.flatnonzero(~(approx < limit)).tolist():
-            referee_calls += 1
-            r = abs(pearson_correlation(columns[i], columns[kept[position]]))
-            if r > varsigma:
-                correlations += position + 1
-                losers.append(keys[i])
-                winners.append(keys[kept[position]])
-                drop_corrs.append(r)
-                break
-        else:
-            correlations += t
-            kept_rows[t] = rows[i]
-            kept_norms[t] = fast_norms[i]
-            kept.append(i)
+        # The block's rows, centered with center's bits, go after the kept ones.
+        kept_rows.resize((t + len(block), z1.n), refcheck=False)
+        np.subtract(block, block.mean(axis=1)[:, None], out=kept_rows[t:])
+        # |corr| of each candidate with every kept row and every row of its
+        # block, from one stacked matrix-vector product.  A GEMM saved 4 ms a
+        # fit but woke BLAS threads that slowed the fits after it (2-vCPU VM).
+        scores = np.abs(kept_rows[t:, None] @ kept_rows.T)[:, 0]
+        scores /= fast_norms[swept][:, None] * fast_norms[kept + swept]
+        # Uncertified pairs: a candidate's with earlier rows, in order, and in-block.
+        rows, positions = np.nonzero(~(scores[:, :t] < limit))
+        ends = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        positions = positions.tolist()
+        near = (~(scores[:, t:] < limit)).tolist()
+        here = []  # the block's rows kept so far
+        for j, i in enumerate(swept):
+            suspects = positions[ends[j]:ends[j + 1]]
+            suspects += [t + q for q, h in enumerate(here) if near[j][h]]
+            for position in suspects:
+                referee_calls += 1
+                r = abs(pearson_correlation(
+                    CenteredColumn(kept_rows[t + j], norms[i]),
+                    CenteredColumn(kept_rows[position], norms[kept[position]]),
+                ))
+                if r > varsigma:
+                    correlations += position + 1
+                    losers.append(keys[i])
+                    winners.append(keys[kept[position]])
+                    drop_corrs.append(r)
+                    break
+            else:
+                correlations += len(kept)
+                kept_rows[len(kept)] = kept_rows[t + j]  # no later candidate's row
+                kept.append(i)
+                here.append(j)
     return RedundancyResult(
         dictionary=z1.subset(sorted(kept)),
         dropped=Records(("term", "winner", "abs_corr"), losers, winners, drop_corrs),

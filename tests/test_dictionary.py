@@ -8,6 +8,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from parseal import dictionary
 from parseal.cli import main
 from parseal.dictionary import IDENTITY, LOG
 from parseal.errors import DictionaryTooLarge, DomainViolation, NonFinite
+from parseal.stats import center
 
 
 def _dataset(columns, names):
@@ -445,9 +447,11 @@ _KIND_RANGES = {"signed": (-10.0, 10.0), "huge": (1e120, 1e170), "tiny": (1e-170
 
 
 @st.composite
-def _build_inputs(draw):
+def _build_inputs(draw, wide=False):
+    """(columns, alpha, mixture); ``wide`` draws up to four columns and
+    mixtures up to 4, with alpha 1 at four columns to bound the term count."""
     n = draw(st.integers(3, 9))
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 4 if wide else 3))
     columns = []
     for _ in range(p):
         kind = draw(st.sampled_from(_COLUMN_KINDS))
@@ -475,7 +479,8 @@ def _build_inputs(draw):
             elif kind == "with_one":
                 col[row] = 1.0  # log(1) == 0 blocks negative log powers
         columns.append(col)
-    return np.column_stack(columns), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    alpha = draw(st.integers(1, 1 if p == 4 else 3))
+    return np.column_stack(columns), alpha, draw(st.integers(1, 4 if wide else 3))
 
 
 @given(_build_inputs())
@@ -503,6 +508,70 @@ def test_block_builder_matches_the_per_term_builder(inputs):
     assert d.census.excluded_terms == tuple((key, "constant column") for key in excluded)
     # Terms built without the constructor's checks still equal checked ones.
     assert all(TermExpr(t.factors) == t for t in d.terms)
+
+
+@given(_build_inputs(wide=True), st.sampled_from((1, 2, 5, 32)))
+@settings(max_examples=120, deadline=None)
+def test_prefix_formed_pass_matches_evaluate_term_center_and_dot(inputs, block_rows):
+    columns, alpha, mixture = inputs
+    n, p = columns.shape
+    ds = _dataset(columns, tuple(f"x{i}" for i in range(p)))
+    yc = ds.response - ds.response.mean()
+    # Every term, in the builder's enumeration order: each combination's
+    # Cartesian product of its variables' sorted factors.
+    menus = [sorted(admissible_factors(columns[:, i], alpha)) for i in range(p)]
+    terms = [
+        TermExpr(tuple(Factor(i, t, e) for i, (t, e) in zip(combo, choice)))
+        for m in range(1, min(mixture, p) + 1)
+        for combo in itertools.combinations(range(p), m)
+        for choice in itertools.product(*(menus[i] for i in combo))
+    ]
+    formed, stats = [], []
+    real_blocks, real_dots = dictionary._prefix_blocks, dictionary._centered_dots
+
+    def copied_blocks(factor_rows, runs):
+        for start, block in real_blocks(factor_rows, runs):
+            formed.append(block.copy())
+            yield start, block
+
+    def kept_dots(*args):
+        stats.append(real_dots(*args))
+        return stats[-1]
+
+    # Block sizes below the last variable's factor count (up to 16 at
+    # alpha 3) give blocks of one prefix each.
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"), \
+            mock.patch.object(dictionary, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(dictionary, "_prefix_blocks", copied_blocks), \
+            mock.patch.object(dictionary, "_centered_dots", kept_dots):
+        try:
+            expected = _per_term_build(columns, alpha, mixture)
+        except DomainViolation as err:
+            # An overflowing product raises the lowest-keyed term's error.
+            with pytest.raises(DomainViolation) as built:
+                build_dictionary(ds, alpha, mixture)
+            assert str(built.value) == str(err) and built.value.row == err.row
+            return
+        d = build_dictionary(ds, alpha, mixture)
+        rows = np.concatenate(formed)
+        means, squares, products = stats[0]
+        assert len(rows) == len(terms) == d.census.candidate_terms
+        for j, term in enumerate(terms):
+            values = evaluate_term(term, columns)
+            assert rows[j].tobytes() == values.tobytes()
+            c = center(values)
+            assert means[j] == values.mean()
+            assert squares[j].tobytes() == c.values.dot(c.values).tobytes()
+            assert products[j].tobytes() == c.values.dot(yc).tobytes()
+    kept_keys, matrix, excluded, kept_by_mixture, candidates = expected
+    assert d.keys() == kept_keys
+    assert d.census.excluded_terms == tuple((key, "constant column") for key in excluded)
+    assert d.census.kept_by_mixture == kept_by_mixture
+    assert d.census.candidate_terms == candidates
+    order = {term.key: j for j, term in enumerate(terms)}
+    picks = [order[key] for key in kept_keys]
+    assert d._dots[1].tobytes() == np.sqrt(squares[picks]).tobytes()
+    assert d._dots[2].tobytes() == products[picks].tobytes()
 
 
 def test_overflowing_product_raises_for_the_lowest_keyed_term():
@@ -601,12 +670,28 @@ def test_a_matrix_dictionary_is_one_factor_row_per_term():
 
 def test_subsets_and_importance_form_no_rows(monkeypatch):
     ds = synth_example1(40, seed=8)
+    built = []  # the row count of every block of the build pass
     formed = []  # the row count of every _form call
-    real = dictionary._form
-    monkeypatch.setattr(dictionary, "_form", lambda f, r: formed.append(len(r)) or real(f, r))
+    real_blocks, real_form = dictionary._prefix_blocks, dictionary._form
+
+    def counted_blocks(factor_rows, runs):
+        for start, block in real_blocks(factor_rows, runs):
+            built.append(len(block))
+            yield start, block
+
+    monkeypatch.setattr(dictionary, "_prefix_blocks", counted_blocks)
+    monkeypatch.setattr(dictionary, "_form", lambda f, r: formed.append(len(r)) or real_form(f, r))
     d = build_dictionary(ds, alpha=2, mixture=3)
-    # The build forms each candidate's row once, in its one pass.
-    assert sum(formed) == d.census.candidate_terms
+    # The build forms each candidate's row once, in its one pass, from one
+    # row per prefix: a term's factors but its last.
+    assert sum(built) == d.census.candidate_terms
+    sizes = [len(admissible_factors(ds.columns[:, i], 2)) for i in range(ds.p)]
+    prefixes = sum(
+        math.prod(sizes[i] for i in combo[:-1])
+        for m in range(1, 4)
+        for combo in itertools.combinations(range(ds.p), m)
+    )
+    assert sum(formed) == prefixes < d.census.candidate_terms
     formed.clear()
     sub = d.subset(range(0, len(d), 3)).subset([4, 0, 9])
     assert formed == [] and len(sub) == 3
@@ -729,7 +814,7 @@ def test_dict_census_bytes_are_pinned(name, tmp_path):
 
 def _per_row_centered_dots(factor_rows, recipe, yc):
     """The block pass as it was with a ddot call per row: the oracle of
-    ``_centered_dots``'s means, squares, products and first bad row."""
+    ``_centered_dots``'s means, squares and products."""
     means = np.empty(len(recipe))
     squares = np.empty(len(recipe))
     products = np.empty(len(recipe))
@@ -743,12 +828,7 @@ def _per_row_centered_dots(factor_rows, recipe, yc):
                 squares[i] = row.dot(row)
                 products[i] = row.dot(yc)
                 i += 1
-    suspects = np.flatnonzero(np.isnan(squares))
-    for start, block in dictionary._blocks(factor_rows, recipe[suspects]):
-        bad = ~np.isfinite(block).all(axis=1)
-        if bad.any():
-            return means, squares, products, int(suspects[start + np.argmax(bad)])
-    return means, squares, products, None
+    return means, squares, products
 
 
 def _same_bits(a, b):
@@ -791,13 +871,16 @@ def test_batched_ddots_match_the_per_row_ddots(kinds, n, seed):
     recipe = np.stack([np.arange(len(rows)), np.full(len(rows), len(rows))], axis=1)
     yc = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
     yc -= yc.mean()
-    got = dictionary._centered_dots(factor_rows, recipe, yc)
+    blocks = list(dictionary._blocks(factor_rows, recipe))
+    means, squares, products = dictionary._centered_dots(iter(blocks), len(recipe), yc)
     want = _per_row_centered_dots(factor_rows, recipe, yc)
-    for a, b in zip(got[:3], want[:3]):
+    for a, b in zip((means, squares, products), want):
         assert _same_bits(a, b)
-    assert got[3] == want[3]
-    centered = np.empty((len(rows), n))
-    dictionary._centered_dots(factor_rows, recipe, yc, centered)
+    # A row holding a NaN or inf gets a NaN square, which sends it to the
+    # checks that find it.
+    assert np.isnan(squares[~np.isfinite(factor_rows[:-1]).all(axis=1)]).all()
+    # The pass leaves each block centered in place.
+    centered = np.concatenate([block for _, block in blocks])
     with np.errstate(invalid="ignore", over="ignore"):
         expected = factor_rows[:-1] - factor_rows[:-1].mean(axis=1)[:, None]
     assert _same_bits(centered.ravel(), expected.ravel())

@@ -25,6 +25,7 @@ from parseal.cli import main
 from parseal.errors import ParsealError
 from parseal import pipeline
 from parseal.pipeline import json_text
+from parseal.screening import Records
 
 
 def philox(seed, stream=0):
@@ -165,12 +166,18 @@ _keys = _texts | st.integers() | _floats | st.booleans() | st.none()
 _BAD = [math.nan, math.inf, -math.inf, np.float64("nan"), np.int64(3)]
 
 
+# A few values that repeat down a column, as the drop logs' reasons and winners do.
+_repeated = st.sampled_from(['"', "\\", "\x00", "é", "\U0001f600"])
+
+
 @st.composite
-def _records(draw, bad=False):
-    """A report-style list of flat dicts sharing their str keys, broken in at most one item."""
+def _records(draw, bad=False, columnar=False):
+    """A report-style list of flat dicts sharing their str keys, broken in at
+    most one item; ``columnar`` may give the ``Records`` standing for it."""
     keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
-    columns = [draw(st.sampled_from([_texts, _floats, st.integers()])) for _ in keys]
-    rows = [{k: draw(c) for k, c in zip(keys, columns)} for _ in range(draw(st.integers(1, 5)))]
+    columns = [draw(st.sampled_from([_texts, _floats, st.integers(), _repeated])) for _ in keys]
+    count = draw(st.integers(1, 5) | st.integers(6, 40))
+    rows = [{k: draw(c) for k, c in zip(keys, columns)} for _ in range(count)]
     row = draw(st.sampled_from(rows))
     key = draw(st.sampled_from(keys))
     breaks = ["intact", "reorder", "null", "nested", "bool", "np.float64"]
@@ -189,17 +196,21 @@ def _records(draw, bad=False):
         row[key] = np.float64(draw(_floats))
     elif how == "bad":
         row[key] = draw(st.sampled_from(_BAD))
+    if columnar and how != "reorder" and draw(st.booleans()):
+        return Records(tuple(keys), *([row[k] for row in rows] for k in keys))
     return rows
 
 
-def _report_shaped(bad=False):
-    """Nested lists, tuples and dicts of scalars and records; ``bad`` mixes in ``_BAD``."""
+def _report_shaped(bad=False, columnar=False):
+    """Nested lists, tuples and dicts of scalars and records; ``bad`` mixes in
+    ``_BAD``, and ``columnar`` draws ``Records`` too."""
     extra = st.sampled_from(_BAD) if bad else st.nothing()
+    records = _records(bad, columnar)
     return st.recursive(
-        _scalars | extra | _records(bad),
+        _scalars | extra | records,
         lambda inner: st.lists(inner, max_size=4)
         | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(_keys | extra, inner | _records(bad), max_size=4),
+        | st.dictionaries(_keys | extra, inner | records, max_size=4),
         max_leaves=30,
     )
 
@@ -221,6 +232,23 @@ def test_json_text_matches_json_dumps(obj):
 @given(_report_shaped(bad=True))
 def test_json_text_fails_where_json_dumps_fails(obj):
     assert _outcome(json_text, obj) == _outcome(lambda o: json.dumps(o, indent=2, allow_nan=False), obj)
+
+
+def _dumps_records_as_lists(obj):
+    """``json.dumps`` of ``obj`` with each ``Records`` as its list of dicts."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_shaped(columnar=True))
+def test_json_text_writes_records_as_the_dicts_they_stand_for(obj):
+    assert json_text(obj) == _dumps_records_as_lists(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_shaped(bad=True, columnar=True))
+def test_json_text_fails_on_records_where_json_dumps_fails(obj):
+    assert _outcome(json_text, obj) == _outcome(_dumps_records_as_lists, obj)
 
 
 @pytest.mark.parametrize("bad", _BAD, ids=repr)
@@ -309,6 +337,22 @@ def test_cli_fit_happy_path(example1_csv, tmp_path, capsys):
     parsed = json.loads((out / "report.json").read_text())
     assert parsed["selected_model"]["terms"] == ["x1*x3"]
     assert parsed["config"]["varsigma"] == 0.5
+
+
+def test_in_process_calls_share_one_parser_and_no_values(example1_csv, tmp_path):
+    from parseal import cli
+
+    runs = []
+    for flags in (["--baseline", "--alpha", "3"], []):
+        out = tmp_path / f"run{len(runs)}"
+        argv = ["fit", "--input", str(example1_csv), "--response", "y", "--out-dir", str(out)]
+        assert main(argv + flags) == 0
+        runs.append(json.loads((out / "report.json").read_text()))
+    assert cli._build_parser() is cli._build_parser()
+    assert runs[0]["config"]["alpha"] == 3 and runs[0]["baseline_model"] is not None
+    # The second call sees its own defaults, not the first call's flags.
+    assert runs[1]["config"]["alpha"] == SelectionConfig().alpha == 2
+    assert runs[1]["baseline_model"] is None
 
 
 def test_cli_fit_usage_errors(tmp_path, capsys):

@@ -23,9 +23,9 @@ from parseal import (
     synth_example1,
     synth_example2,
 )
-from parseal import screening
+from parseal import dictionary, screening
 from parseal.dictionary import IDENTITY, canonical_key
-from parseal.errors import AllColumnsDropped, DomainViolation, ZeroVariance
+from parseal.errors import AllColumnsDropped, DomainViolation, NonFinite, ZeroVariance
 
 
 def philox(seed, stream=0):
@@ -76,6 +76,32 @@ def test_importance_matches_independent_order_statistics():
 
 def abs_corr_of_term(z, term, y):
     return abs_corr(z.columns[:, z.terms.index(term)], y)
+
+
+def test_records_index_and_slice_as_the_list_of_dicts():
+    records = screening.Records(("term", "abs_corr"), ["a", "b", "c"], [0.5, None, 0.25])
+    rows = list(records)
+    assert rows == [
+        {"term": "a", "abs_corr": 0.5},
+        {"term": "b", "abs_corr": None},
+        {"term": "c", "abs_corr": 0.25},
+    ]
+    for i in (0, 2, -1, slice(0, 2), slice(None, None, -1), slice(1, 1), slice(-2, None)):
+        assert records[i] == rows[i]
+    with pytest.raises(IndexError):
+        records[3]
+
+
+def test_a_non_finite_row_is_rejected_and_a_view_without_it_screens():
+    rng = philox(316)
+    x = rng.normal(size=(40, 3))
+    x[7, 1] = math.inf
+    y = x[:, 0] + rng.normal(size=40)
+    z = raw_dictionary(x)
+    with pytest.raises(NonFinite):
+        importance_filter(z, y, ImportanceRule("absolute", 0.0))
+    result = importance_filter(z.subset([0, 2]), y, ImportanceRule("absolute", 0.0))
+    assert result.dictionary.keys() == ["v0^1/1", "v2^1/1"]
 
 
 def test_relative_threshold_scales_with_best_column():
@@ -651,6 +677,58 @@ def test_importance_holds_no_matrix_of_every_row():
     assert result.referee_calls == 0
     # A (T, n) matrix of every centered row would take T * n * 8 = 172 MB.
     assert peak < 0.1 * len(z) * ds.n * 8
+
+
+def test_a_candidate_is_eliminated_by_a_row_kept_earlier_in_its_block():
+    rng = philox(315)
+    n = 120
+    a, b, c = rng.normal(size=(3, n))
+    twin = a + 0.05 * rng.normal(size=n)
+    y = 2.0 * a + b + 0.5 * rng.normal(size=n)
+    x = np.column_stack([b, twin, c, a])
+    # Four candidates make one block, so a, kept first, meets its twin there.
+    assert len(x.T) <= dictionary._BLOCK_ROWS
+    report = _screens_like_the_per_pair_loops(x, y, ImportanceRule("absolute", 0.0), 0.9)
+    keys = raw_dictionary(x).keys()
+    assert [(d["term"], d["winner"]) for d in report.dropped_redundant] == [(keys[1], keys[3])]
+    with mock.patch.object(dictionary, "_BLOCK_ROWS", 1):
+        assert _screens_like_the_per_pair_loops(x, y, ImportanceRule("absolute", 0.0), 0.9) == report
+
+
+def _sweep_outcome(z, y, varsigma):
+    result = redundancy_filter(z, y, varsigma)
+    drops = [(d["term"], d["winner"], d["abs_corr"].hex()) for d in result.dropped]
+    return result.dictionary.keys(), drops, result.correlations
+
+
+@pytest.mark.parametrize("make,varsigma", [(synth_example1, 0.5), (synth_example1, 0.9), (synth_example2, 0.8)])
+def test_the_sweep_decides_alike_at_every_block_size(make, varsigma):
+    ds = make(120, seed=13)
+    everything = ImportanceRule("absolute", 0.0)
+    z = importance_filter(build_dictionary(ds, 2, 3), ds.response, everything).dictionary
+    expected = _sweep_outcome(z, ds.response, varsigma)
+    assert len(expected[0]) > 7 and len(expected[1]) > 7
+    for block_rows in (1, 7):
+        with mock.patch.object(dictionary, "_BLOCK_ROWS", block_rows):
+            assert _sweep_outcome(z, ds.response, varsigma) == expected
+
+
+def test_the_sweep_holds_only_the_kept_rows_and_two_blocks():
+    ds = _dict_heavy_shaped()
+    z = build_dictionary(ds, alpha=2, mixture=3)
+    survivors = importance_filter(z, ds.response, ImportanceRule()).dictionary
+    tracemalloc.start()
+    try:
+        result = redundancy_filter(survivors, ds.response, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = len(result.dictionary)
+    assert 0 < kept < len(survivors) // 4
+    rows = (kept + 2 * dictionary._BLOCK_ROWS) * ds.n * 8
+    # The rows, plus a few hundred bytes of scalars per survivor; the
+    # survivors' rows would take len(survivors) * n * 8 = 25 MB.
+    assert peak <= rows + 512 * len(survivors)
 
 
 # ---------------------------------------------------------------------------

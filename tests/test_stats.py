@@ -128,12 +128,10 @@ def test_center_rows_gives_each_row_the_bits_of_a_lone_vector(n, k, scale, seed)
     rng = philox(seed)
     block = rng.normal(size=(k, n)) * scale + rng.choice([0.0, 3.0 * scale], size=(k, 1))
     block[0] = 2.5  # a constant row
-    # Each term is one row times the all-ones padding row.
-    factor_rows = np.vstack([block, np.ones(n)])
-    recipe = np.stack([np.arange(k), np.full(k, k)], axis=1)
-    rows = np.empty((k, n))
+    rows = block.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        _, squares, _, _ = dictionary._centered_dots(factor_rows, recipe, np.zeros(n), rows)
+        # The pass centers the block's rows in place.
+        _, squares, _ = dictionary._centered_dots([(0, rows)], k, np.zeros(n))
         for got, square, row in zip(rows, squares.tolist(), block):
             # The reference arithmetic, on a fresh 1-d copy of the row.
             ac = row.copy() - row.copy().mean()
