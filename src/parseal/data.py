@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +92,8 @@ def load_csv(path, response: str) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ParseError("CSV file is empty") from None
+    except csv.Error as err:
+        raise ParseError(f"header row: {err}") from None
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
@@ -102,13 +103,8 @@ def load_csv(path, response: str) -> Dataset:
             f"response column {response!r} not found in header {header}"
         )
     response_idx = header.index(response)
-    try:
-        table = _fast_table(reader, len(header))
-    except csv.Error:
-        table = None
+    table = _split_table(text, len(header)) if reader.line_num == 1 else None
     if table is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
         table = _cell_table(reader, header)
     if len(table) < 3:
         raise InsufficientData(f"need at least three data rows, got {len(table)}")
@@ -121,69 +117,81 @@ def load_csv(path, response: str) -> Dataset:
     )
 
 
-def _fast_table(reader, width: int):
+def _split_table(text: str, width: int):
     """The data rows as an (n, width) array, or None if any row needs a closer look.
 
-    That is a ragged row, a data row after a blank line, a cell ``float``
-    rejects or a non-finite value; ``_cell_table`` then names the first one.
-    The cells stream into the array, so no list of rows or cells is held.
+    When ``text``'s first line is the header and every line ends in the same
+    terminator, LF or CRLF, ``csv.reader`` gives each later line's pieces
+    between commas as its cells (a quote would not, but it leaves a piece
+    ``float`` rejects).  Anything else is left to ``_cell_table``.
     """
-    closer_look = []
-
-    def rows():
-        blank = False
-        for row in reader:
-            if not row:
-                blank = True
-            elif blank or len(row) != width:
-                closer_look.append(row)
-                return
-            else:
-                yield row
-
+    breaks = text.count("\n")
+    crlf = "\r" in text
+    lines = text.replace("\r\n" if crlf else "\n", ",\n")
+    first = lines.find("\n")
+    # Every CR must be in a CRLF, and then every LF too.
+    if first < 0 or "\r" in lines or (crlf and text.count("\r") != breaks):
+        return None
+    # Each line break now starts a cell, which float() reads as if it did not.
+    cells = lines.split(",")
+    start = lines.count(",", 0, first)  # the header line's pieces
+    end = len(cells)
+    while end > start and cells[end - 1] == "\n":  # blank lines after the last row
+        end -= 1
+    rows, ragged = divmod(end - start, width)
+    # Row r starts at cell start + r * width exactly when those cells hold
+    # every line break but the header's and the trailing blank lines'.
+    starts = "".join(cells[start:end:width])
+    if ragged or rows != breaks - (len(cells) - end) or starts.count("\n") != rows:
+        return None
+    limit = csv.field_size_limit()
+    if len(lines) > limit and max(map(len, cells)) > limit:
+        return None
     try:
-        flat = np.fromiter(map(float, itertools.chain.from_iterable(rows())), dtype=np.float64)
+        flat = np.fromiter(map(float, cells[start:end]), dtype=np.float64, count=end - start)
     except ValueError:
         return None
-    if closer_look or not np.isfinite(flat).all():
-        return None
-    return flat.reshape(-1, width)
+    return flat.reshape(rows, width) if np.isfinite(flat).all() else None
 
 
 def _cell_table(reader, header: list) -> np.ndarray:
     """Parse the data rows cell by cell, raising on the first bad row or cell."""
     rows = []
     blank = None  # the first blank line; only blank lines may follow it
-    for row_number, row in enumerate(reader):
-        if not row:
-            blank = row_number if blank is None else blank
-            continue
-        if blank is not None:
-            raise ParseError(f"row {blank} is blank, but data rows follow it", row=blank)
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {row_number} has {len(row)} cells, expected {len(header)}",
-                row=row_number,
-            )
-        parsed = []
-        for col_name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
+    row_number = -1
+    try:
+        for row_number, row in enumerate(reader):
+            if not row:
+                blank = row_number if blank is None else blank
+                continue
+            if blank is not None:
+                raise ParseError(f"row {blank} is blank, but data rows follow it", row=blank)
+            if len(row) != len(header):
                 raise ParseError(
-                    f"row {row_number}, column {col_name!r}: "
-                    f"cannot parse {cell!r} as a number",
+                    f"row {row_number} has {len(row)} cells, expected {len(header)}",
                     row=row_number,
-                    col=col_name,
-                ) from None
-            if not math.isfinite(value):
-                raise NonFinite(
-                    f"row {row_number}, column {col_name!r}: non-finite value {cell!r}",
-                    row=row_number,
-                    col=col_name,
                 )
-            parsed.append(value)
-        rows.append(parsed)
+            parsed = []
+            for col_name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"row {row_number}, column {col_name!r}: "
+                        f"cannot parse {cell!r} as a number",
+                        row=row_number,
+                        col=col_name,
+                    ) from None
+                if not math.isfinite(value):
+                    raise NonFinite(
+                        f"row {row_number}, column {col_name!r}: non-finite value {cell!r}",
+                        row=row_number,
+                        col=col_name,
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    except csv.Error as err:  # an oversized field, or a NUL before Python 3.11
+        raise ParseError(f"row {row_number + 1}: {err}", row=row_number + 1) from None
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
@@ -192,10 +200,7 @@ def write_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.variable_names) + [dataset.response_name])
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.columns[i]]
-            row.append(repr(float(dataset.response[i])))
-            writer.writerow(row)
+        writer.writerows(np.column_stack([dataset.columns, dataset.response]).tolist())
 
 
 def _column_stream(seed: int, column: int) -> np.random.Generator:

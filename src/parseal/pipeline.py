@@ -29,7 +29,7 @@ from .selection import (
     best_subset_search,
     greedy_forward_search,
 )
-from .stats import bland_altman, format_p_value
+from .stats import _as_finite_vector, format_p_value
 
 TOOL_NAME = "parseal"
 TOOL_VERSION = "0.1.0"
@@ -242,18 +242,31 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _residuals_rows(observed: np.ndarray, residuals: np.ndarray):
-    # Emit fitted once, then re-derive the residual from the emitted value so
-    # observed - fitted == residual holds exactly in the file.
-    fitted = observed - residuals
-    rows = [f"{o!r},{f!r},{o - f!r}" for o, f in zip(observed.tolist(), fitted.tolist())]
-    return "\n".join(["observed,fitted,residual", *rows]) + "\n"
+def _write_companion_csvs(out_dir, tag: str, observed, observed_texts: list, fitted) -> None:
+    """Write one model's residual and Bland-Altman CSVs.
 
-
-def _bland_altman_rows(observed: np.ndarray, residuals: np.ndarray):
-    fitted = observed - residuals
-    pairs = bland_altman(observed, fitted).pairs.tolist()
-    return "\n".join(["mean,difference", *[f"{m!r},{d!r}" for m, d in pairs]]) + "\n"
+    ``observed_texts`` are ``observed``'s reprs.  The difference
+    fitted - observed is the residual observed - fitted negated exactly
+    (rounding to nearest is symmetric), so both write the same magnitude
+    texts after their own sign bit, which signs zeros as computed.
+    """
+    _as_finite_vector(fitted, "fitted")  # raises NonFinite, as bland_altman does
+    signed = (",", ",-").__getitem__  # a separator, then the sign of the value after it
+    residual = observed - fitted
+    magnitudes = list(map(float.__repr__, np.abs(residual).tolist()))
+    parts = ["", ",", "", "", "", "\n"] * len(magnitudes)
+    parts[0::6] = observed_texts
+    parts[2::6] = map(float.__repr__, fitted.tolist())
+    parts[3::6] = map(signed, np.signbit(residual).tolist())
+    parts[4::6] = magnitudes
+    text = "observed,fitted,residual\n" + "".join(parts)
+    _write_text(os.path.join(out_dir, f"residuals_{tag}.csv"), text)
+    parts = ["", "", "", "\n"] * len(magnitudes)
+    parts[0::4] = map(float.__repr__, (0.5 * (fitted + observed)).tolist())
+    parts[1::4] = map(signed, np.signbit(fitted - observed).tolist())
+    parts[2::4] = magnitudes
+    text = "mean,difference\n" + "".join(parts)
+    _write_text(os.path.join(out_dir, f"bland_altman_{tag}.csv"), text)
 
 
 def run_pipeline(
@@ -341,15 +354,11 @@ def run_pipeline(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, REPORT_FILE), report.to_json())
+        observed = dataset.response
+        texts = list(map(float.__repr__, observed.tolist()))
         for tag, fitted_model in (("parseal", model), ("baseline", baseline)):
-            if fitted_model is None:
-                continue
-            residuals = fitted_model.fit.residuals
-            _write_text(
-                os.path.join(out_dir, f"residuals_{tag}.csv"),
-                _residuals_rows(dataset.response, residuals),
-            )
-            ba_text = _bland_altman_rows(dataset.response, residuals)
-            _write_text(os.path.join(out_dir, f"bland_altman_{tag}.csv"), ba_text)
+            if fitted_model is not None:
+                fitted = observed - fitted_model.fit.residuals
+                _write_companion_csvs(out_dir, tag, observed, texts, fitted)
 
     return report

@@ -1,9 +1,19 @@
 """CSV round-trips, input validation, and the synthetic generators."""
 
+import csv
+import io
+import itertools
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from parseal import Dataset, load_csv, synth_example1, synth_example2, write_csv
+from parseal import data
 from parseal.cli import main
 from parseal.errors import (
     DuplicateHeader,
@@ -11,6 +21,7 @@ from parseal.errors import (
     LengthMismatch,
     MissingResponse,
     NonFinite,
+    ParsealError,
     ParseError,
 )
 
@@ -202,6 +213,216 @@ def test_write_csv_uses_shortest_round_trip_reprs(tmp_path):
     write_csv(ds, path)
     assert "0.30000000000000004" in path.read_text()
     assert load_csv(path, response="y").columns[0, 0] == value
+
+
+def _reference_cell(number, name, cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"row {number}, column {name!r}: cannot parse {cell!r} as a number")
+    if not math.isfinite(value):
+        raise NonFinite(f"row {number}, column {name!r}: non-finite value {cell!r}")
+    return value
+
+
+def _reference_table(text):
+    """``load_csv``'s header and (n, width) table by ``csv.reader`` and a loop over every cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("CSV file is empty") from None
+    except csv.Error as err:
+        raise ParseError(f"header row: {err}") from None
+    if "y" not in header:  # a quoted name took it in
+        raise MissingResponse(f"response column 'y' not found in header {header}")
+    rows, blank, number = [], None, 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as err:
+            raise ParseError(f"row {number}: {err}") from None
+        if not row:
+            blank = number if blank is None else blank
+        elif blank is not None:
+            raise ParseError(f"row {blank} is blank, but data rows follow it")
+        elif len(row) != len(header):
+            raise ParseError(f"row {number} has {len(row)} cells, expected {len(header)}")
+        else:
+            rows.append([_reference_cell(number, h, cell) for h, cell in zip(header, row)])
+        number += 1
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def _reference_load(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, table = _reference_table(fh.read())
+    if len(table) < 3:
+        raise InsufficientData(f"need at least three data rows, got {len(table)}")
+    return header, table
+
+
+def _outcome(load):
+    try:
+        return load()
+    except ParsealError as err:
+        return type(err), str(err)
+
+
+_PADS = " \t\x0b\x0c"
+_ODD_CELLS = (
+    "1_0", "nan", "-inf", "inf", "1e400", "-1e400", "", " ", "oops", "1\x00", "\x00",
+    '"3,4"', '"5\n6"', '"7\r\n"', '8"9', "1,",
+)
+# A quoted name with a comma, a line break or no closing quote, padding, or an oversized name.
+_ODD_NAMES = ('"{},a"', '"{}\nb"', '"{}\r\nc"', '"{}', " {} ", "{}" + "h" * 131072)
+
+
+@st.composite
+def _csv_files(draw):
+    """(bytes, field size limit) of a small CSV with y among its columns.
+
+    Each kind of defect is drawn for the whole file, so that files with one
+    kind alone, or none, are common.
+    """
+    limit = draw(st.sampled_from([24, 40, 131072]))
+    odd_cells, ragged, blank_lines, quoted = (draw(st.booleans()) for _ in range(4))
+    width = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(width - 1)]
+    names.insert(draw(st.integers(0, width - 1)), "y")
+    for i, name in enumerate(names):
+        if name != "y" and draw(st.integers(0, 3)) == 0:
+            names[i] = draw(st.sampled_from(_ODD_NAMES)).format(name)[: len(name) + limit + 1]
+
+    def cell():
+        if odd_cells and draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(_ODD_CELLS))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            text = str(draw(st.integers(-(10**6), 10**6)))
+        elif kind == 1:
+            pad = st.text(_PADS, max_size=2)
+            text = draw(pad) + repr(draw(st.floats(-1e3, 1e3))) + draw(pad)
+        elif kind == 2:  # at the field size limit
+            text = "0" * draw(st.integers(limit - 2, limit + 1))
+        else:
+            text = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        return f'"{text}"' if quoted and draw(st.integers(0, 3)) == 0 else text
+
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        count = width + (draw(st.sampled_from([-1, 0, 0, 1])) if ragged else 0)
+        lines.append(",".join(cell() for _ in range(max(count, 1))))
+    if blank_lines:
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    lines += [""] * draw(st.integers(0, 2))  # blank lines after the last row
+    mode = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [mode if mode != "mixed" else draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), limit
+
+
+@given(_csv_files())
+# Files that only a lone CR, a lone LF, ragged rows whose cells add up, or a
+# header that swallows the rest tell apart from plain ones.
+@example((b"y,x\r\n1,1\r,\n", 131072))
+@example((b"y,x\r\n,\n", 131072))
+@example((b"y,x\r\n1,1,1\r\n1\r\n", 131072))
+@example((b'y,"x\n1,2\n3,4\n5,6\n', 131072))
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_load_csv_matches_a_csv_reader_loop_over_every_cell(tmp_path, drawn):
+    content, limit = drawn
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(content)
+    default = csv.field_size_limit(limit)
+    try:
+        expected = _outcome(lambda: _reference_load(path))
+        got = _outcome(lambda: load_csv(path, "y"))
+    finally:
+        csv.field_size_limit(default)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    header, table = expected
+    assert not isinstance(got, tuple), got
+    others = [i for i, name in enumerate(header) if name != "y"]
+    assert got.variable_names == tuple(header[i] for i in others)
+    assert np.array_equal(got.columns.view(np.int64), table[:, others].view(np.int64))
+    assert np.array_equal(got.response.view(np.int64), table[:, header.index("y")].view(np.int64))
+
+
+def test_the_split_path_agrees_with_csv_reader_on_every_short_file():
+    # Every body of up to seven of the characters that steer csv.reader.
+    for header, width in (("y,x\r\n", 2), ("y,x\n", 2), ("y\n", 1)):
+        for size in range(8):
+            for body in itertools.product('1,\r\n"', repeat=size):
+                text = header + "".join(body)
+                table = data._split_table(text, width)
+                if table is not None:
+                    expected = _reference_table(text)[1]
+                    assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+
+def _quote_first_cell(text):
+    header, first, rest = text.split("\r\n", 2)
+    cell, others = first.split(",", 1)
+    return f'{header}\r\n"{cell}",{others}\r\n{rest}'
+
+
+@pytest.mark.parametrize(
+    "variant, split",
+    [
+        (lambda t: t, True),
+        (lambda t: t.replace("\r\n", "\n"), True),
+        (lambda t: t.replace("\r\n", "\n") + "\n\n", True),
+        (lambda t: t.replace("\r\n", "\r"), False),  # lone CRs
+        (lambda t: t.replace("\r\n", "\n", 2), False),  # mixed terminators
+        (_quote_first_cell, False),
+    ],
+)
+def test_plain_files_take_the_split_path_and_all_read_the_same_bits(tmp_path, variant, split):
+    ds = synth_example2(30, seed=9)
+    write_csv(ds, tmp_path / "plain.csv")
+    text = variant((tmp_path / "plain.csv").read_bytes().decode())
+    path = tmp_path / "variant.csv"
+    path.write_bytes(text.encode())
+    assert (data._split_table(text, ds.p + 1) is not None) == split
+    back = load_csv(path, "y")
+    assert back.columns.tobytes() == ds.columns.tobytes()
+    assert back.response.tobytes() == ds.response.tobytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "dict"])
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("a,y\n1,2\n" + "0" * 140_000 + ",3\n4,5\n", "row 1"),
+        ("a," + "b" * 140_000 + ",y\n1,2,3\n4,5,6\n7,8,9\n", "header row"),
+    ],
+    ids=["data-field", "header-field"],
+)
+def test_an_oversized_field_exits_two_naming_its_row(tmp_path, command, text, where):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    argv = ["--input", str(path), "--response", "y"]
+    if command == "fit":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    run = subprocess.run(
+        [sys.executable, "-m", "parseal.cli", command, *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.count("\n") == 1
+    message = f"{where}: field larger than field limit ({csv.field_size_limit()})"
+    assert run.stderr == f"parseal {command}: error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parseal import (
@@ -22,10 +22,12 @@ from parseal import (
     write_csv,
 )
 from parseal.cli import main
-from parseal.errors import ParsealError
+from parseal.dictionary import build_dictionary
+from parseal.errors import NonFinite, ParsealError
 from parseal import pipeline
 from parseal.pipeline import json_text
-from parseal.screening import Records
+from parseal.screening import Records, screen
+from parseal.selection import baseline_best_subset, best_subset_search
 
 
 def philox(seed, stream=0):
@@ -128,6 +130,88 @@ def test_bland_altman_csv_matches_fit(tmp_path):
         o, f, _ = (float(c) for c in resid_line.split(","))
         assert mean == (o + f) / 2.0
         assert diff == f - o
+
+
+def _oracle_residuals_csv(observed, fitted):
+    rows = [f"{o!r},{f!r},{o - f!r}" for o, f in zip(observed.tolist(), fitted.tolist())]
+    return "\n".join(["observed,fitted,residual", *rows]) + "\n"
+
+
+def _oracle_bland_altman_csv(observed, fitted):
+    # The pairs stats.bland_altman forms, written out because it needs n >= 2.
+    pairs = np.column_stack([0.5 * (fitted + observed), fitted - observed]).tolist()
+    return "\n".join(["mean,difference", *[f"{m!r},{d!r}" for m, d in pairs]]) + "\n"
+
+
+def _assert_companions_match_the_oracle(out_dir, tag, observed, fitted):
+    residuals = (out_dir / f"residuals_{tag}.csv").read_bytes()
+    assert residuals == _oracle_residuals_csv(observed, fitted).encode()
+    bland_altman = (out_dir / f"bland_altman_{tag}.csv").read_bytes()
+    assert bland_altman == _oracle_bland_altman_csv(observed, fitted).encode()
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, -1.5, 2.0)
+
+
+@st.composite
+def _observed_and_fitted(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.one_of(st.sampled_from(_EDGE_VALUES), finite)
+    pairs = []
+    for _ in range(draw(st.integers(1, 24))):
+        o = draw(values)
+        kind = draw(st.integers(0, 4))
+        if kind == 0:  # signed zeros: +0 - -0, -0 - +0, x - x
+            o, f = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]))
+        elif kind == 1:
+            f = o
+        elif kind == 2:  # one ulp off, but finite
+            f = float(np.nextafter(o, draw(st.sampled_from([-np.inf, np.inf]))))
+            f = f if math.isfinite(f) else o
+        elif kind == 3:
+            f = -o
+        else:
+            f = draw(values)
+        pairs.append((o, f))
+    observed, fitted = np.array(pairs, dtype=np.float64).T
+    return np.ascontiguousarray(observed), np.ascontiguousarray(fitted)
+
+
+@given(_observed_and_fitted())
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_companion_csvs_match_the_row_by_row_oracle(tmp_path, drawn):
+    observed, fitted = drawn
+    texts = list(map(float.__repr__, observed.tolist()))
+    pipeline._write_companion_csvs(tmp_path, "drawn", observed, texts, fitted)
+    _assert_companions_match_the_oracle(tmp_path, "drawn", observed, fitted)
+
+
+def test_companion_csvs_of_a_fit_with_a_baseline_match_the_oracle(tmp_path):
+    # Both models' files share the observed texts; a noise-free fit leaves zero residuals.
+    ds = synth_example1(200, seed=6)
+    cfg = SelectionConfig(varsigma=0.5)
+    run_pipeline(ds, cfg, with_baseline=True, out_dir=tmp_path)
+    z = build_dictionary(ds, cfg.alpha, cfg.mixture_m)
+    zr, _ = screen(z, ds.response, cfg.importance, cfg.varsigma)
+    models = {
+        "parseal": best_subset_search(zr, ds.response, cfg),
+        "baseline": baseline_best_subset(ds, ds.response, cfg),
+    }
+    for tag, model in models.items():
+        fitted = ds.response - model.fit.residuals
+        _assert_companions_match_the_oracle(tmp_path, tag, ds.response, fitted)
+    assert (models["parseal"].fit.residuals == 0).any()
+
+
+def test_companion_csvs_reject_a_non_finite_fitted_value(tmp_path):
+    observed = np.array([1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        fitted = np.array([1.0, bad, 3.0])
+        with pytest.raises(NonFinite, match="fitted contains NaN or infinite entries"):
+            pipeline._write_companion_csvs(tmp_path, "bad", observed, ["1.0", "2.0", "3.0"], fitted)
 
 
 def test_stable_reports_are_byte_identical(tmp_path):
