@@ -11,11 +11,12 @@ Scoring is prefix-shared.  A subset S + (j,) factors C_SS = L L' with the
 rows of L and W = L^-1 that S already has, plus one new last row of each,
 and extends S's column sums of W (the VIFs and the standardized
 coefficients) by that row.  The new rows come from the left-looking
-recurrences of a full factorization, and every other sum runs over the same
-elements in the same order as a full factorization's would, so a subset's
-status, objective and bound have the bits of scoring its k x k block from
-scratch.  (W's upper triangle is held as exact zeros where a full
-factorization leaves zeros of either sign; a zero's sign reaches no score.)
+recurrences of a full factorization.  Every sum over a subset's terms runs
+in index order (``_index_sum``), so a subset's status, objective and bound
+have the bits of factoring its k x k block from scratch with every sum in
+index order.  The rounding bounds below hold in any summation order.  (W's
+upper triangle is held as exact zeros where a full factorization leaves
+zeros of either sign; a zero's sign reaches no score.)
 ``exhaustive`` walks the lexicographic subset tree depth first in batches of
 at most ``_BATCH`` subsets per size.
 """
@@ -86,9 +87,6 @@ _QR_BACKWARD = 8
 # <= 1.  The trace is inflated by its rounding bound (2 x relative, plus
 # 2 x L ||m/s||^2 for the quadratic term) before the test.
 _RANK_MARGIN = 100.0
-# numpy sums a contiguous row shorter than this in index order, and a longer
-# one pairwise (``_row_sum``); along a strided axis it sums in index order.
-_SEQUENTIAL = 8
 # Subsets scored per batch.  At 8 terms a batch's (k, k, m) arrays take
 # 512 kB each, and the walk holds one batch per size.
 _BATCH = 1024
@@ -108,40 +106,18 @@ def _rank_floor(n: int, k: int) -> float:
 
 
 def _index_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in index order, ((t0 + t1) + t2) + ..., as numpy sums a strided axis.
+    """Sum over axis 0 in index order, ((t0 + t1) + t2) + ...
 
-    numpy reduces axis 0 of a C-ordered array in index order, one
-    whole-array add per term, when another axis is longer than 1; when none
-    is, axis 0 is the array's only axis and numpy sums it pairwise.
+    Every sum over a subset's terms runs through here, so a subset scores
+    the same bits whatever its batch's shape.  numpy reduces axis 0 of a
+    C-ordered array in index order, one whole-array add per term, when
+    another axis is longer than 1; when none is, axis 0 is the array's only
+    axis, which numpy would sum pairwise, so the terms are added in a loop.
     """
     if len(terms) == 0 or terms[0].size > 1:
         return np.add.reduce(terms, axis=0)
     total = terms[0].copy()
     for term in terms[1:]:
-        total += term
-    return total
-
-
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy sums a contiguous row of that length.
-
-    Below _SEQUENTIAL terms that is index order.  Up to 128 it is eight
-    interleaved partial sums, combined as a tree, then the remainder in
-    index order; a longer row is split in two at a multiple of eight.
-    """
-    n = len(terms)
-    if n < _SEQUENTIAL:
-        return _index_sum(terms)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    tail = n - n % 8
-    part = terms[:8].copy()
-    for i in range(8, tail, 8):
-        part += terms[i : i + 8]
-    low = (part[0] + part[1]) + (part[2] + part[3])
-    total = low + ((part[4] + part[5]) + (part[6] + part[7]))
-    for term in terms[tail:]:
         total += term
     return total
 
@@ -309,9 +285,9 @@ class GramScorer:
             cross = self._pairs(new, cols[:j])
             row = np.empty((k, m))
             for t in range(j):
-                row[t] = (cross[t] - _row_sum(row[:t] * factor[t, :t])) / factor[t, t]
+                row[t] = (cross[t] - _index_sum(row[:t] * factor[t, :t])) / factor[t, t]
             head = row[:j]
-            pivot = 1.0 - _row_sum(head * head)
+            pivot = 1.0 - _index_sum(head * head)
             pivots_ok = prefixes.pivots_ok[parent] & (pivot > 0.0)
             row[j] = np.sqrt(np.where(pivots_ok, pivot, 1.0))
             # The new last row of W, from row j of L W = I, summed down the rows.
@@ -326,26 +302,19 @@ class GramScorer:
             vifs[:j] = prefixes.vifs[:, parent] + w[:j] * w[:j]
             vifs[j] = w[j] * w[j]
             c_s, shift = self.c[cols], self.shift[cols]
-            if k < _SEQUENTIAL:
-                # An old row of W gains a zero term, which leaves its index-
-                # order sum as it was; only the new row is summed.
-                whitened = np.empty((k, m))
-                whitened[:j] = prefixes.whitened[:, parent]
-                whitened[j] = _row_sum(w * c_s)
-                lifted = np.empty((k, m))
-                lifted[:j] = prefixes.lifted[:, parent]
-                lifted[j] = _row_sum(w * shift)
-                beta_std = np.empty((k, m))
-                beta_std[:j] = prefixes.beta_std[:, parent] + w[:j] * whitened[j]
-                beta_std[j] = w[j] * whitened[j]
-            else:
-                # A pairwise sum changes with the row's length: sum every row.
-                whole = _grown(inverse, w)
-                whitened = _row_sum((whole * c_s).swapaxes(0, 1))
-                lifted = _row_sum((whole * shift).swapaxes(0, 1))
-                beta_std = _index_sum(whole * whitened[:, None])
-            r2 = _row_sum(whitened * whitened)
-            trace = _row_sum(vifs)
+            # An old row of W gains a zero term, which leaves its index-order
+            # sum as it was; only the new row is summed.
+            whitened = np.empty((k, m))
+            whitened[:j] = prefixes.whitened[:, parent]
+            whitened[j] = _index_sum(w * c_s)
+            lifted = np.empty((k, m))
+            lifted[:j] = prefixes.lifted[:, parent]
+            lifted[j] = _index_sum(w * shift)
+            beta_std = np.empty((k, m))
+            beta_std[:j] = prefixes.beta_std[:, parent] + w[:j] * whitened[j]
+            beta_std[j] = w[j] * whitened[j]
+            r2 = _index_sum(whitened * whitened)
+            trace = _index_sum(vifs)
             rho = np.maximum(self.rho[cols].max(axis=0), self.rho_y)
             eps = _gamma(n + 3) * (3.0 + 2.0 * rho) + 3.0 * _gamma(k + 1)
             x = k * trace * eps
@@ -363,15 +332,15 @@ class GramScorer:
 
             mu, sd = self.mean[cols], self.s[cols]
             gram_trace = (1.0 + 2.0 * x) * (
-                1.0 / n + _row_sum(lifted * lifted) + _row_sum(vifs / (sd * sd))
-            ) + 2.0 * x * trace * _row_sum(shift * shift)
+                1.0 / n + _index_sum(lifted * lifted) + _index_sum(vifs / (sd * sd))
+            ) + 2.0 * x * trace * _index_sum(shift * shift)
             top = np.maximum(self.sq_norm[cols].max(axis=0), n)
             rank_ok = gram_trace * top * _rank_floor(n, k) <= 1.0
 
             beta = beta_std * self.y_scale / sd
-            intercept = self.y_mean - _row_sum(beta * mu)
-            scale = self.y_norm + np.sqrt(n + _row_sum(self.sq_norm[cols])) * np.sqrt(
-                intercept * intercept + _row_sum(beta * beta)
+            intercept = self.y_mean - _index_sum(beta * mu)
+            scale = self.y_norm + np.sqrt(n + _index_sum(self.sq_norm[cols])) * np.sqrt(
+                intercept * intercept + _index_sum(beta * beta)
             )
             delta = 3.0 * _gamma(_QR_BACKWARD * n * (k + 1)) * scale
             unexplained = np.maximum(1.0 - r2, 0.0)
@@ -392,7 +361,7 @@ class GramScorer:
         return Subsets(
             cols,
             factor=_grown(factor, row),
-            inverse=whole if k >= _SEQUENTIAL else _grown(inverse, w),
+            inverse=_grown(inverse, w),
             pivots_ok=pivots_ok,
             vifs=vifs,
             whitened=whitened,

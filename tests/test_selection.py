@@ -521,10 +521,17 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     assert qr_calls[0] == qr_calls[1] < 0.05 * results[0][0][3]
 
 
-def test_rank_certificate_decides_the_dict_heavy_shaped_greedy_search(monkeypatch):
+@pytest.mark.parametrize("max_size", [8, 12])
+def test_rank_certificate_decides_the_dict_heavy_shaped_greedy_search(monkeypatch, max_size):
     """Mixture-3 terms whose scales differ by 1e4 and more are certified full rank."""
     ds = _dict_heavy_shaped()
-    cfg = SelectionConfig(alpha=2, mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
+    cfg = SelectionConfig(
+        alpha=2,
+        mixture_m=3,
+        varsigma=0.9,
+        search_mode="greedy_forward",
+        max_subset_size=max_size,
+    )
     z = build_dictionary(ds, cfg.alpha, cfg.mixture_m)
     zr, _ = screen(z, ds.response, cfg.importance, cfg.varsigma)
     qr_calls = [0]
