@@ -9,8 +9,8 @@ pinned by the generator's published algorithm.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +87,9 @@ def load_csv(path, response: str) -> Dataset:
             text = fh.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"CSV file is not UTF-8 text ({err.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # The lines io.StringIO(text, newline="") would give, read as the reader asks:
+    # the header's, and the rest only when the split parse leaves them to it.
+    reader = csv.reader(m.group() for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
     try:
         header = next(reader)
     except StopIteration:

@@ -239,8 +239,8 @@ class Dictionary:
     ``Factor`` of each factor row but the padding.
 
     A built dictionary also carries ``_dots``: the response, and each term's
-    centered-row norm and dot product with the centered response, from the
-    builder's one pass over the rows; ``subset`` slices them.
+    row mean, centered norm and centered response product from the builder's
+    one pass; ``subset`` slices them and ``row_statistics`` reads them.
 
     Parameters
     ----------
@@ -302,12 +302,7 @@ class Dictionary:
 
     @property
     def columns(self) -> np.ndarray:
-        """The read-only (n, T) matrix of every term, formed on first access and kept.
-
-        It is the transpose of a (T, n) array filled from ``blocks``: an
-        F-ordered matrix, the layout numpy's fancy-index copy of a matrix
-        gives.
-        """
+        """The read-only (n, T) matrix of every term, formed once from ``blocks`` and kept."""
         if self._columns is None:
             rows = np.empty((len(self), self.n))
             for index, block in self.blocks():
@@ -328,6 +323,19 @@ class Dictionary:
         for start, block in _blocks(self._factor_rows, self._recipe):
             yield np.arange(start, start + len(block)), block
 
+    def row_statistics(self, y: np.ndarray):
+        """Each term's row mean, centered norm and dot product with ``y`` centered: the
+        ones carried for ``y``'s bits, or else those of one more ``_centered_dots`` pass."""
+        if self._dots is not None and self._dots[0].tobytes() == y.tobytes():
+            return self._dots[1:]
+        blocks = _blocks(self._factor_rows, self._recipe)
+        means, squares, products = _centered_dots(blocks, len(self), center(y, "response").values)
+        # Only a row with a NaN square may hold a NaN or inf.
+        for _, block in _blocks(self._factor_rows, self._recipe[np.isnan(squares)]):
+            if not np.isfinite(block).all():
+                raise NonFinite("vector contains NaN or infinite entries")
+        return means, np.sqrt(squares), products
+
     def subset(self, indices) -> "Dictionary":
         """A view of the requested terms: the same factor rows, and no row or term formed."""
         indices = np.asarray(indices, dtype=np.intp)
@@ -336,7 +344,7 @@ class Dictionary:
             terms = tuple(map(terms.__getitem__, indices.tolist()))
         dots = self._dots
         if dots is not None:
-            dots = (dots[0], dots[1][indices], dots[2][indices])
+            dots = (dots[0],) + tuple(a[indices] for a in dots[1:])
         return Dictionary._of_recipe(
             self._keys[indices],
             terms,
@@ -502,8 +510,8 @@ def build_dictionary(
     dataset : Dataset
         Anything with an (n, p) ``columns`` array, ``variable_names`` and an
         (n,) ``response``.  The builder's one pass over the term rows also
-        takes each row's centered norm and its dot product with the centered
-        response, which the returned dictionary carries to screening.
+        takes each row's mean, centered norm and centered response product,
+        which the returned dictionary carries to screening and the search.
     alpha : int
         Largest absolute integer exponent.
     mixture : int
@@ -625,7 +633,7 @@ def build_dictionary(
         excluded_terms=tuple(excluded),
         factor_restrictions=restrictions,
     )
-    dots = (response, norms[kept], products[kept])
+    dots = (response, means[kept], norms[kept], products[kept])
     return Dictionary._of_recipe(
         keys[kept], None, factors, factor_rows, recipe[kept], names, census, dots
     )

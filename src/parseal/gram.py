@@ -33,11 +33,14 @@ from .stats import _COLLINEARITY_R2
 # Rounding bounds of the correlation route against the QR scorer.
 #
 # Model: u = 2^-53 and gamma(m) = m u / (1 - m u).  A length-n inner product
-# errs by at most gamma(n) |x|'|y| (Higham, ASNA 2nd ed., eq. 3.5).  For a
-# column x with mean m and centered norm s, let rho = ||x|| / s >= 1.
-# Centering and scaling put a relative norm-wise error of at most
-# gamma(n + 3) (1 + rho) on a standardized column, so for a subset S of k
-# columns every entry of the computed C_SS and c_S errs by at most
+# errs by at most gamma(n) |x|'|y| in any order (Higham, ASNA 2nd ed., eq.
+# 3.5).  For a column x with mean m and centered norm s, let rho = ||x|| / s
+# >= 1.  The build pass's row mean moves the centered row by at most
+# gamma(n) ||x|| and its ddot norm errs by gamma(n) / 2 + u, so a column (or
+# the response) standardized with them errs by gamma(n + 3) (1 + rho) at most,
+# norm-wise.  C_SS, and c_S (the pass's response products over both norms),
+# hold inner products of such columns: for a subset S of k columns every
+# entry of the computed C_SS and c_S errs by at most
 #     eps = gamma(n + 3) (3 + 2 rho_S) + 3 gamma(k + 1),
 # where rho_S is the largest rho over S and the response, and the last term
 # is the backward error of the Cholesky factor and its inverse (the factor's
@@ -150,7 +153,8 @@ class Subsets:
 
 
 class GramScorer:
-    """Adjusted R^2 and VIFs of subsets from one standardization per search.
+    """Adjusted R^2 and VIFs of subsets of a dictionary's terms, standardized
+    once with its ``row_statistics``, the build pass's means and norms.
 
     ``extend`` scores a batch of subsets, each one column longer than a
     subset of a scored batch.  ``exhaustive`` drives it for the exhaustive
@@ -159,19 +163,19 @@ class GramScorer:
     term for the greedy search.
     """
 
-    def __init__(self, columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float):
-        n, p = columns.shape
-        self.n = n
+    def __init__(self, zr, y: np.ndarray, vif_cap: float, tss: float):
+        n = self.n = zr.n
+        mean, s, products = zr.row_statistics(y)
         with np.errstate(all="ignore"):
-            mean = columns.mean(axis=0)
-            self.z = columns - mean
-            s = np.sqrt(np.square(self.z).sum(axis=0))
             # ||x||^2 = s^2 + n m^2; it only scales the rounding bounds.
             sq_norm = s * s + n * mean * mean
             usable = np.isfinite(sq_norm) & (s > 0.0)
             s = np.where(usable, s, 1.0)
-            self.z /= s
-        self.z[:, ~usable] = 0.0
+            # The standardized rows, formed once; rows of C are their products.
+            self.z = np.empty((len(zr), n))
+            for index, block in zr.blocks():
+                self.z[index] = (block - mean[index, None]) / s[index, None]
+        self.z[~usable] = 0.0
         self.usable = usable
         self.mean = np.where(usable, mean, 0.0)
         self.s = s
@@ -182,22 +186,22 @@ class GramScorer:
         self.y_scale = math.sqrt(tss)
         self.y_norm = float(np.sqrt(y @ y))
         self.rho_y = self.y_norm / self.y_scale
-        self.c = self.z.T @ ((y - self.y_mean) / self.y_scale)
+        self.c = np.where(usable, products / (s * self.y_scale), 0.0)
         self.tss = tss
         # Feasibility is max VIF < vif_cap, and ``vif`` rejects a VIF at or
         # above 1 / (1 - _COLLINEARITY_R2) as perfectly collinear.
         self.vif_limit = min(vif_cap, 1.0 / (1.0 - _COLLINEARITY_R2))
-        self.rows = np.empty((0, p))
-        self.pos = np.full(p, -1, dtype=np.intp)
+        self.rows = np.empty((0, len(zr)))
+        self.pos = np.full(len(zr), -1, dtype=np.intp)
 
     def cache(self, indices) -> None:
         """Form the rows of C for ``indices`` that are not yet formed."""
         missing = sorted({i for i in indices if self.pos[i] < 0})
         if not missing:
             return
-        block = self.z if len(missing) == len(self.pos) else self.z[:, missing]
+        block = self.z if len(missing) == len(self.pos) else self.z[missing]
         self.pos[missing] = np.arange(len(self.rows), len(self.rows) + len(missing))
-        self.rows = np.vstack([self.rows, block.T @ self.z])
+        self.rows = np.vstack([self.rows, block @ self.z.T])
         if len(self.rows) == len(self.pos):
             self.z = None  # every row is formed; free the n x p copy
 

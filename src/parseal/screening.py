@@ -13,13 +13,13 @@ the report as ``Records``, one list per field, with each term as its
 canonical key, so no ``TermExpr`` is made to log a drop.  Each
 |corr(z_j, y)| comes from the centered row's norm and response product, the
 dot products ``pearson_correlation`` would take, with no call per
-correlation.  A built dictionary carries them from the builder's one pass
-over its rows, so importance forms no row; a dictionary made from a matrix,
-or another response, takes them in that same pass.  The redundancy sweep
-forms and centers its candidates a block at a time, in sweep order, and
-holds only the kept rows.  It scores each block against every kept row with
-one stacked product, and ``pearson_correlation`` decides only the pairs that
-product cannot certify below varsigma by its rounding bound.
+correlation.  A built dictionary carries them and the row means from the
+builder's one pass over its rows, so importance forms no row; a dictionary
+made from a matrix, or another response, takes them in that same pass.  The
+redundancy sweep forms candidates a block at a time, in sweep order, centers
+them with those means and holds only the kept rows.  One stacked product
+scores a block against every kept row; ``pearson_correlation`` decides only
+the pairs it cannot certify below varsigma by its rounding bound.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import _HUGE, _TINY, Dictionary, _blocks, _centered_dots
-from .errors import AllColumnsDropped, LengthMismatch, NonFinite, ZeroVariance
+from .dictionary import _HUGE, _TINY, Dictionary, _blocks
+from .errors import AllColumnsDropped, LengthMismatch, ZeroVariance
 from .gram import _U, _gamma
 from .stats import CenteredColumn, center, pearson_correlation
 
@@ -137,35 +137,21 @@ class ScreeningReport:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _abs_corrs(z: Dictionary, y: np.ndarray):
-    """Norms of the centered rows of ``z``, and their |corr| with ``y``.
-
-    The norms and dot products are the ones the dictionary carries when
-    ``y`` has the bits of the response it carries them for; otherwise
-    ``_centered_dots`` takes them, in the pass the builder makes.  Either
-    way each row of a block is centered with the bits ``center`` gives the
-    lone row, and takes the ddots ``pearson_correlation`` takes, so every
-    value has the referee's bits.  NaN marks a correlation the referee leaves undefined (a
-    norm product outside (0, inf)); a NaN quotient clips to -1, as
-    ``min(1, max(-1, nan))`` does.
+    """``z.row_statistics(y)``'s means and norms, and each row's |corr| with ``y``,
+    with the referee's bits.  NaN marks a correlation the referee leaves
+    undefined (a norm product outside (0, inf)); a NaN quotient clips to -1,
+    as ``min(1, max(-1, nan))`` does.
     """
     y = np.asarray(y, dtype=np.float64)
     yc = center(y, "response")
     if z.n != yc.values.shape[0]:
         raise LengthMismatch(f"vectors have lengths {z.n} and {yc.values.shape[0]}")
-    if z._dots is not None and z._dots[0].tobytes() == y.tobytes():
-        _, norms, products = z._dots
-    else:
-        _, squares, products = _centered_dots(_blocks(z._factor_rows, z._recipe), len(z), yc.values)
-        # Only a row with a NaN square may hold a NaN or inf.
-        for _, block in _blocks(z._factor_rows, z._recipe[np.isnan(squares)]):
-            if not np.isfinite(block).all():
-                raise NonFinite("vector contains NaN or infinite entries")
-        norms = np.sqrt(squares)
+    means, norms, products = z.row_statistics(y)
     scale = norms * yc.norm
     r = products / scale
     r = np.abs(np.where(np.isnan(r), -1.0, np.clip(r, -1.0, 1.0)))
     r[~((scale > 0.0) & (scale < math.inf))] = math.nan
-    return norms, r
+    return means, norms, r
 
 
 @np.errstate(invalid="ignore")  # NaN marks an undefined |corr|
@@ -188,7 +174,7 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     y = np.asarray(y, dtype=np.float64)
     if float(np.std(y)) == 0.0:
         raise ZeroVariance("response is constant; correlations are undefined")
-    _, corrs = _abs_corrs(z, y)
+    _, _, corrs = _abs_corrs(z, y)
     max_abs = float(corrs[~np.isnan(corrs)].max(initial=0.0))
     threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
 
@@ -227,7 +213,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
     if len(z1) == 0:
         raise AllColumnsDropped(0.0)
-    norms, corrs = _abs_corrs(z1, y)
+    means, norms, corrs = _abs_corrs(z1, y)
     rank = np.nan_to_num(corrs, nan=-1.0).tolist()
     keys = z1.keys()
     order = np.array(sorted(range(len(z1)), key=lambda i: (-rank[i], keys[i])))
@@ -246,7 +232,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
         t = len(kept)
         # The block's rows, centered with center's bits, go after the kept ones.
         kept_rows.resize((t + len(block), z1.n), refcheck=False)
-        np.subtract(block, block.mean(axis=1)[:, None], out=kept_rows[t:])
+        np.subtract(block, means[swept][:, None], out=kept_rows[t:])
         # |corr| of each candidate with every kept row and every row of its
         # block, from one stacked matrix-vector product.  A GEMM saved 4 ms a
         # fit but woke BLAS threads that slowed the fits after it (2-vCPU VM).

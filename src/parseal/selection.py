@@ -117,17 +117,16 @@ def _check_y(y, n: int) -> np.ndarray:
     return y
 
 
-def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float):
+def _make_scorer(zr: Dictionary, y: np.ndarray, vif_cap: float, tss: float):
     """Return ``score(combo)``: the adjusted R^2, or None when infeasible.
 
     A candidate is infeasible when its design is rank deficient (pivoted QR)
     or perfectly collinear, or when its largest VIF is not strictly below
     ``vif_cap``.  A single predictor is always VIF-feasible.
     """
-    n = columns.shape[0]
 
     def score(combo):
-        design = DesignMatrix.with_intercept(columns[:, combo])
+        design = DesignMatrix.with_intercept(zr.subset(combo).columns)
         fact = qr_factorize(design)
         if fact.rank < design.k:
             return None
@@ -140,7 +139,7 @@ def _make_scorer(columns: np.ndarray, y: np.ndarray, vif_cap: float, tss: float)
         _, residual = _solve_from_factorization(fact, design, y)
         k = len(combo)
         r2 = 1.0 - float(residual @ residual) / tss
-        return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
+        return 1.0 - (1.0 - r2) * (zr.n - 1) / (zr.n - k - 1)
 
     return score
 
@@ -203,12 +202,12 @@ def _key_order(zr: Dictionary):
     return sorted(range(len(zr)), key=lambda i: keys[i]), keys
 
 
-def _finish(zr: Dictionary, y, combo, keys, vif_cap, counters, best_by_size) -> SelectedModel:
-    design = DesignMatrix.with_intercept(zr.columns[:, combo])
-    fit = ols_fit(design, y, term_labels=[keys[i] for i in combo])
+def _finish(zr: Dictionary, y, combo, vif_cap, counters, best_by_size) -> SelectedModel:
+    chosen = zr.subset(combo)
+    fit = ols_fit(DesignMatrix.with_intercept(chosen.columns), y, term_labels=chosen.keys())
     assert np.max(fit.vifs) < vif_cap, "selected model failed its own feasibility check"
     return SelectedModel(
-        terms=tuple(zr.terms[i] for i in combo),
+        terms=chosen.terms,
         fit=fit,
         objective=fit.r_squared_adj,
         candidates_evaluated=counters[0],
@@ -247,13 +246,13 @@ def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel
         If no candidate passes the rank and VIF checks.
     """
     y, k_cap, tss = _search_bounds(zr, y, cfg)
-    order, keys = _key_order(zr)
+    order, _ = _key_order(zr)
     required = sum(math.comb(len(zr), k) for k in range(1, k_cap + 1))
     if required > cfg.search_budget:
         raise BudgetExceeded(required, cfg.search_budget)
 
-    score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
-    gram = GramScorer(zr.columns, y, cfg.vif_cap, tss)
+    score = _make_scorer(zr, y, cfg.vif_cap, tss)
+    gram = GramScorer(zr, y, cfg.vif_cap, tss)
     sizes = [_Best(score) for _ in range(k_cap)]
     for batch in gram.exhaustive(order, k_cap):
         sizes[len(batch.cols) - 1].add(batch, batch.combo)
@@ -276,7 +275,7 @@ def best_subset_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel
         raise NoFeasibleSubset(
             f"none of the {evaluated} candidate subsets passed the rank and VIF checks"
         )
-    return _finish(zr, y, best_combo, keys, cfg.vif_cap, (evaluated, feasible), best_by_size)
+    return _finish(zr, y, best_combo, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
 def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedModel:
@@ -288,8 +287,8 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
     """
     y, k_cap, tss = _search_bounds(zr, y, cfg)
     order, keys = _key_order(zr)
-    score = _make_scorer(zr.columns, y, cfg.vif_cap, tss)
-    gram = GramScorer(zr.columns, y, cfg.vif_cap, tss)
+    score = _make_scorer(zr, y, cfg.vif_cap, tss)
+    gram = GramScorer(zr, y, cfg.vif_cap, tss)
 
     evaluated = 0
     feasible = 0
@@ -314,7 +313,7 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
         best_by_size[len(current)] = current_obj
     if not current:
         raise NoFeasibleSubset("no single term produced a feasible design")
-    return _finish(zr, y, current, keys, cfg.vif_cap, (evaluated, feasible), best_by_size)
+    return _finish(zr, y, current, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
 def baseline_best_subset(dataset, y, cfg: SelectionConfig) -> SelectedModel:

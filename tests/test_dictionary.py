@@ -570,8 +570,9 @@ def test_prefix_formed_pass_matches_evaluate_term_center_and_dot(inputs, block_r
     assert d.census.candidate_terms == candidates
     order = {term.key: j for j, term in enumerate(terms)}
     picks = [order[key] for key in kept_keys]
-    assert d._dots[1].tobytes() == np.sqrt(squares[picks]).tobytes()
-    assert d._dots[2].tobytes() == products[picks].tobytes()
+    assert d._dots[1].tobytes() == means[picks].tobytes()
+    assert d._dots[2].tobytes() == np.sqrt(squares[picks]).tobytes()
+    assert d._dots[3].tobytes() == products[picks].tobytes()
 
 
 def test_overflowing_product_raises_for_the_lowest_keyed_term():
@@ -589,9 +590,10 @@ def test_overflowing_product_raises_for_the_lowest_keyed_term():
 
 
 def test_subset_layout_does_not_depend_on_the_dictionary_layout():
-    # The search sums the screened columns along axis 0, so the subset it
-    # gets must be laid out as if the dictionary were a row-major (n, T)
-    # matrix, although the builder stores it as the transpose of (T, n) rows.
+    # The QR referee fits a subset's columns.  They are laid out as the same
+    # pick from a row-major (n, T) matrix would be, although the builder
+    # stores the terms as factor rows, so what a caller reads does not
+    # depend on how the dictionary is stored.
     d = build_dictionary(synth_example1(40, seed=3), alpha=2, mixture=2)
     picks = [5, 0, len(d) - 1, 17]
     sub = d.subset(picks)

@@ -2,12 +2,15 @@
 
 The oracle factors each k x k block from scratch and sums every axis in
 index order by its own means (``_in_order``), the order ``gram`` uses for
-every sum over a subset's terms.
+every sum over a subset's terms.  The standardization the scores start
+from is checked against exact arithmetic and the rounding model in gram.py.
 """
 
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from parseal import gram
 from parseal.gram import FEASIBLE, REFEREE, GramScorer
-from test_selection import _hazard_columns, philox
+from test_selection import _hazard_columns, philox, raw_dictionary
 
 
 def _blocks(scorer, idx):
@@ -114,7 +117,7 @@ def _block_evaluate(scorer, idx):
 
 def _scorer(columns, y, vif_cap=10.0):
     tss = float((y - y.mean()) @ (y - y.mean()))
-    return GramScorer(columns, y, vif_cap, tss)
+    return GramScorer(raw_dictionary(columns), y, vif_cap, tss)
 
 
 def _walk_by_size(scorer, order, k_cap):
@@ -238,3 +241,43 @@ def test_index_sums_add_in_index_order():
             for term in terms:
                 in_order = in_order + term
             assert gram._index_sum(terms).tobytes() == in_order.tobytes()
+
+
+def _exact_standardized(column):
+    """The column minus its exact mean over the exact norm of that, to 60
+    digits; None for a constant column."""
+    values = [Fraction(v) for v in column.tolist()]
+    mean = sum(values) / len(values)
+    centered = [v - mean for v in values]
+    square = sum(c * c for c in centered)
+    if square == 0:
+        return None
+    norm = (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+    return [Decimal(c.numerator) / Decimal(c.denominator) / norm for c in centered]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_entry_of_c_lies_within_the_rounding_model(data):
+    """Each computed entry of C and c, standardized with the build pass's
+    statistics, lies within gamma(n + 3) (3 + 2 rho) of the exact one."""
+    rng = philox(436, data.draw(st.integers(0, 2**32 - 1)))
+    n, p = data.draw(st.integers(12, 40)), data.draw(st.integers(2, 5))
+    columns = _hazard_columns(data.draw, rng, n, p)
+    y = columns @ rng.normal(size=p) + rng.normal(size=n) + rng.normal()
+    if np.ptp(y) == 0.0:
+        y = y + rng.normal(size=n)
+    scorer = _scorer(columns, y)
+    scorer.cache(range(p))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = [_exact_standardized(column) for column in columns.T]
+        response = _exact_standardized(y)
+        usable = [a for a in range(p) if scorer.usable[a] and exact[a] is not None]
+        for a in usable:
+            budget = gram._gamma(n + 3) * (3.0 + 2.0 * max(scorer.rho[a], scorer.rho_y))
+            assert abs(scorer.c[a] - float(sum(map(Decimal.__mul__, exact[a], response)))) <= budget
+            for b in usable:
+                budget = gram._gamma(n + 3) * (3.0 + 2.0 * max(scorer.rho[a], scorer.rho[b]))
+                want = float(sum(map(Decimal.__mul__, exact[a], exact[b])))
+                assert abs(scorer.rows[scorer.pos[a], b] - want) <= budget

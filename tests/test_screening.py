@@ -26,6 +26,7 @@ from parseal import (
 from parseal import dictionary, screening
 from parseal.dictionary import IDENTITY, canonical_key
 from parseal.errors import AllColumnsDropped, DomainViolation, NonFinite, ZeroVariance
+from parseal.gram import GramScorer
 
 
 def philox(seed, stream=0):
@@ -739,11 +740,12 @@ def test_the_sweep_holds_only_the_kept_rows_and_two_blocks():
 def _screen_outcome(z, y):
     """Everything importance, redundancy and screen decide on ``z``, as bits."""
     key = canonical_key
-    norms, corrs = screening._abs_corrs(z, y)
+    means, norms, corrs = screening._abs_corrs(z, y)
     importance = importance_filter(z, y, ImportanceRule("relative", 0.3))
     redundancy = redundancy_filter(z, y, 0.9)
     _, report = screen(z, y, ImportanceRule("relative", 0.3), 0.9)
     return (
+        means.tobytes(),
         norms.tobytes(),
         corrs.tobytes(),
         [(d["term"], d["abs_corr"].hex(), d["reason"]) for d in importance.dropped],
@@ -775,8 +777,60 @@ def test_carried_statistics_screen_as_the_matrix_path(make):
     ]
     for built, reference, response, passes in cases:
         with mock.patch.object(
-            screening, "_centered_dots", wraps=screening._centered_dots
+            dictionary, "_centered_dots", wraps=dictionary._centered_dots
         ) as counted:
             outcome = _screen_outcome(built, response)
         assert counted.call_count == passes
         assert outcome == _screen_outcome(reference, response)
+
+
+def _standardization_cases(make):
+    """(dictionary, response) pairs: built, a view of a view, from a matrix,
+    and built for a response one last bit away."""
+    ds = make(80, seed=12)
+    d = build_dictionary(ds, alpha=2, mixture=3)
+    y = ds.response
+    off = y.copy()
+    off[7] = np.nextafter(off[7], math.inf)
+    outer = list(range(len(d) - 1, -1, -2))
+    inner = list(range(0, len(outer), 3)) + [1, 0]
+    matrix = Dictionary(d.terms, d.columns, d.source_labels)
+    return [(d, y), (d.subset(outer).subset(inner), y), (matrix, y), (d, off)]
+
+
+@pytest.mark.parametrize("make", [synth_example1, synth_example2])
+def test_the_search_standardizes_with_the_statistics_screening_reads(make):
+    for z, y in _standardization_cases(make):
+        means, norms, corrs = screening._abs_corrs(z, y)
+        centered = y - y.mean()
+        scorer = GramScorer(z, y, 10.0, float(centered @ centered))
+        assert scorer.usable.all()
+        # The sweep centers with these means, and importance's |corr| is |c|.
+        assert scorer.mean.tobytes() == means.tobytes()
+        assert scorer.s.tobytes() == norms.tobytes()
+        assert np.abs(np.clip(scorer.c, -1.0, 1.0)).tobytes() == corrs.tobytes()
+
+
+def test_the_sweep_centers_each_block_with_the_carried_means():
+    ds = synth_example1(60, seed=14)
+    d = build_dictionary(ds, alpha=1, mixture=2)
+    z = d.subset(range(len(d)))
+    response, means, norms, products = z._dots
+    # Means no row gives: the sweep can only have read them.
+    shifted = means + norms
+    z._dots = (response, shifted, norms, products)
+    rows = np.concatenate([block for _, block in z.blocks()])
+    centered = {}  # norm -> the rows centered with the shifted means
+    for row, mean, norm in zip(rows, shifted.tolist(), norms.tolist()):
+        centered.setdefault(norm, []).append((row - mean).tobytes())
+    seen = []
+
+    def referee(a, b):
+        seen.extend((column.values.tobytes(), column.norm) for column in (a, b))
+        return 0.0
+
+    with mock.patch.object(screening, "pearson_correlation", referee):
+        redundancy_filter(z, ds.response, 0.05)
+    assert len(seen) > 10
+    for values, norm in seen:
+        assert values in centered[norm]

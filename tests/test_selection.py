@@ -21,6 +21,7 @@ from parseal import (
     best_subset_search,
     greedy_forward_search,
     synth_example1,
+    synth_example2,
     vif,
 )
 from parseal import gram, pipeline, selection
@@ -61,7 +62,8 @@ def _score(columns, vif_cap, y=None):
     columns = np.asarray(columns, dtype=np.float64)
     y = philox(400).normal(size=columns.shape[0]) if y is None else y
     tss = float((y - y.mean()) @ (y - y.mean()))
-    return selection._make_scorer(columns, y, vif_cap, tss)(tuple(range(columns.shape[1])))
+    scorer = selection._make_scorer(raw_dictionary(columns), y, vif_cap, tss)
+    return scorer(tuple(range(columns.shape[1])))
 
 
 def _adjusted_r2(columns, y):
@@ -332,7 +334,7 @@ def _qr_search(zr, y, cfg, greedy=False):
     """The search loops with the QR scorer deciding every candidate."""
     y, k_cap, tss = selection._search_bounds(zr, y, cfg)
     order, keys = selection._key_order(zr)
-    score = selection._make_scorer(zr.columns, y, cfg.vif_cap, tss)
+    score = selection._make_scorer(zr, y, cfg.vif_cap, tss)
     evaluated = feasible = 0
     best_by_size = {}
     if greedy:
@@ -372,9 +374,7 @@ def _qr_search(zr, y, cfg, greedy=False):
                     best_obj, best_combo = objective, combo
         if best_combo is None:
             raise NoFeasibleSubset("no candidate passed the rank and VIF checks")
-    return selection._finish(
-        zr, y, best_combo, keys, cfg.vif_cap, (evaluated, feasible), best_by_size
-    )
+    return selection._finish(zr, y, best_combo, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
 def _qr_best_subset(zr, y, cfg):
@@ -545,6 +545,25 @@ def test_rank_certificate_decides_the_dict_heavy_shaped_greedy_search(monkeypatc
     fast = _outcome(greedy_forward_search, zr, ds.response, cfg)
     assert qr_calls[0] <= 30
     assert fast == _outcome(_qr_greedy, zr, ds.response, cfg)
+
+
+@pytest.mark.parametrize("case", ["synth_example2", "dict_heavy_shaped"])
+def test_a_fit_forms_only_the_columns_of_the_subsets_it_fits(monkeypatch, case):
+    if case == "synth_example2":
+        dataset, cfg = synth_example2(200, seed=5), SelectionConfig(max_subset_size=2)
+    else:
+        dataset = _dict_heavy_shaped()
+        cfg = SelectionConfig(mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
+    real = Dictionary.columns.fget
+
+    def columns(self):
+        if len(self) > cfg.max_subset_size:  # wider than any subset the searches fit
+            raise AssertionError(f"the columns of {len(self)} terms were formed")
+        return real(self)
+
+    monkeypatch.setattr(Dictionary, "columns", property(columns))
+    report = pipeline.run_pipeline(dataset, cfg, with_baseline=True)
+    assert report.selected_model["terms"] and report.baseline_model["terms"]
 
 
 # ---------------------------------------------------------------------------
