@@ -14,7 +14,7 @@ import sys
 from .data import load_csv, synth_example1, synth_example2, write_csv
 from .dictionary import build_dictionary
 from .errors import ParsealError
-from .pipeline import REPORT_FILE, TOOL_VERSION, json_text, run_pipeline
+from .pipeline import REPORT_FILE, TOOL_VERSION, run_pipeline, write_json
 from .screening import ImportanceRule
 from .selection import SelectionConfig
 
@@ -246,12 +246,11 @@ def _cmd_dict(args) -> int:
     except ValueError as err:
         print(f"parseal dict: error: {err}", file=sys.stderr)
         return 1
-    text = json_text(z.census.to_dict()) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        write_json(z.census.to_dict(), sys.stdout)
     else:
         with open(args.out, "w", newline="", encoding="ascii") as fh:
-            fh.write(text)
+            write_json(z.census.to_dict(), fh)
         print(f"census written to {args.out}")
     return 0
 

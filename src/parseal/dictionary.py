@@ -356,6 +356,10 @@ class Dictionary:
             dots,
         )
 
+    def rows(self, indices) -> np.ndarray:
+        """The (k, n) rows of the requested terms, formed as a view's ``columns`` would be."""
+        return _form(self._factor_rows, self._recipe[np.asarray(indices, dtype=np.intp)])
+
 
 def _term(factors, row, key: str) -> TermExpr:
     """The term whose factor-row indices are ``row``; indices past ``factors`` are padding."""

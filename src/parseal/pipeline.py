@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -94,6 +94,7 @@ def _screening_section(report, rule) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_CHUNK_RECORDS = 2048  # records per text of a record list; bounds the writer's memory
 _ROW_SCALARS = {str: _encode_str, int: int.__repr__, float: float.__repr__}
 
 
@@ -105,33 +106,45 @@ def json_text(obj) -> str:
     flat records -- a ``Records``, or dicts with the same str keys, such as
     the drop records -- a column at a time: each field's texts, encoded once
     per distinct value in a column of few distinct strs, are put between
-    the field literals and joined once.  A ``Records`` is written as the
-    list of dicts it stands for.
+    the field literals and joined once per ``_CHUNK_RECORDS`` records.  A
+    ``Records`` is written as the list of dicts it stands for.
     """
-    out = []
-    _write(obj, "\n", out)
-    return "".join(out)
+    return "".join(_write(obj, "\n", []))
 
 
-def _write(obj, nl: str, out: list) -> None:
-    """Append ``obj``'s JSON text to ``out``; ``nl`` is the newline and indent of its own line."""
+def write_json(obj, fh) -> None:
+    """Write ``json_text(obj)`` and a newline to ``fh``, flushing after each chunk of records."""
+    def flush(out: list) -> None:
+        fh.write("".join(out))
+        out.clear()
+
+    flush(_write(obj, "\n", [], flush) + ["\n"])
+
+
+def _write(obj, nl: str, out: list, flush=None) -> list:
+    """Append ``obj``'s JSON text to ``out``, and return ``out``; ``nl`` starts its own line."""
     inner = nl + "  "
     if isinstance(obj, (list, tuple, Records)) and obj:
-        body = _rows_text(obj, inner)
-        if body is not None:
-            out += "[" + inner, body
+        chunks = _rows_text(obj, inner)
+        if chunks is not None:
+            out.append("[" + inner)
+            for chunk in chunks:
+                out.append(chunk)
+                if flush is not None:
+                    flush(out)
         else:
             for k, item in enumerate(obj):
                 out.append(("," if k else "[") + inner)
-                _write(item, inner, out)
+                _write(item, inner, out, flush)
         out.append(nl + "]")
     elif isinstance(obj, dict) and obj:
         for k, (key, value) in enumerate(obj.items()):
             out.append(("," if k else "{") + inner + _encode_str(_key(key)) + ": ")
-            _write(value, inner, out)
+            _write(value, inner, out, flush)
         out.append(nl + "}")
     else:
         out.append(_text(obj))
+    return out
 
 
 def _text(obj) -> str:
@@ -164,10 +177,10 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _rows_text(items, nl: str) -> str | None:
-    """The items of a list of flat records, a ``Records`` or dicts with the
-    same str keys in the same order, when each field's values are all strs,
-    all ints, or finite floats and Nones; else None."""
+def _rows_text(items, nl: str):
+    """The items of a list of flat records, a ``Records`` or dicts with the same str
+    keys in the same order, as texts of ``_CHUNK_RECORDS`` items, when each field's values
+    are all strs, all ints, or finite floats and Nones (all checked first); else None."""
     if isinstance(items, Records):
         names, columns = items.names, items.columns
     else:
@@ -178,21 +191,15 @@ def _rows_text(items, nl: str) -> str | None:
             return None
         names = tuple(first)
         columns = [[row[key] for row in items] for key in first]
-    count = len(columns[0])
-    width = 2 * len(names)
-    inner = nl + "  "
-    keys = [_encode_str(name) + ": " for name in names]
-    # Record r's field j is parts[r * width + 2 j + 1], after its key; the
-    # first key of each record but the first also closes the one before.
-    parts = [nl + "}," + nl + "{" + inner + keys[0]] * (count * width + 1)
-    for j, column in enumerate(columns):
+    writes = []
+    for column in columns:
         kinds = set(map(type, column))
         if kinds <= {float, type(None)} and type(None) in kinds:
             # None, written null, stands for an undefined float such as a
             # non-finite |corr|; filter drops it (and zeros) from the check.
             if not all(map(math.isfinite, filter(None, column))):
                 return None
-            texts = ["null" if v is None else float.__repr__(v) for v in column]
+            write = None
         else:
             write = _ROW_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
             if write is None or (write is float.__repr__ and not all(map(math.isfinite, column))):
@@ -200,13 +207,29 @@ def _rows_text(items, nl: str) -> str | None:
             if write is _encode_str and len(set(column[:64])) <= 16:
                 # A column of few distinct strs, such as the reasons, encodes each once.
                 write = {v: _encode_str(v) for v in set(column)}.__getitem__
-            texts = map(write, column)
-        if j:
-            parts[2 * j::width] = ["," + inner + keys[j]] * count
-        parts[2 * j + 1::width] = texts
-    parts[0] = "{" + inner + keys[0]
-    parts[-1] = nl + "}"
-    return "".join(parts)
+        writes.append(write)
+    return _row_chunks([_encode_str(name) + ": " for name in names], columns, writes, nl)
+
+
+def _row_chunks(keys: list, columns, writes: list, nl: str):
+    """``_rows_text``'s texts; a ``writes`` entry of None writes a float column's Nones as null."""
+    count = len(columns[0])
+    width = 2 * len(keys)
+    inner = nl + "  "
+    for start in range(0, count, _CHUNK_RECORDS):
+        size = min(_CHUNK_RECORDS, count - start)
+        # Record r's field j is parts[r * width + 2 j + 1], after its key; the
+        # first key of each record but the list's first also closes the one before.
+        parts = [nl + "}," + nl + "{" + inner + keys[0]] * (size * width + 1)
+        for j, (column, write) in enumerate(zip(columns, writes)):
+            vals = column[start:start + size]
+            if j:
+                parts[2 * j::width] = ["," + inner + keys[j]] * size
+            texts = map(write, vals) if write else ["null" if v is None else repr(v) for v in vals]
+            parts[2 * j + 1::width] = texts
+        parts[0] = parts[0] if start else "{" + inner + keys[0]
+        parts[-1] = nl + "}" if start + size == count else ""
+        yield "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -229,12 +252,26 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"screening": screening}
 
     def to_json(self) -> str:
-        return json_text({f.name: getattr(self, f.name) for f in fields(self)}) + "\n"
+        pieces = _write({f.name: getattr(self, f.name) for f in fields(self)}, "\n", [])
+        return "".join(pieces + ["\n"])
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         data = json.loads(text)
         return cls(**{f.name: data[f.name] for f in fields(cls)})
+
+
+def _write_report(report: RunReport, path) -> None:
+    """``write_json`` the report to ``path + ".tmp"``, and move it to ``path`` once it is whole."""
+    temporary = f"{path}.tmp"
+    try:
+        with open(temporary, "w", newline="", encoding="ascii") as fh:
+            write_json({f.name: getattr(report, f.name) for f in fields(report)}, fh)
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 def _write_text(path, text: str) -> None:
@@ -353,7 +390,7 @@ def run_pipeline(
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, REPORT_FILE), report.to_json())
+        _write_report(report, os.path.join(out_dir, REPORT_FILE))
         observed = dataset.response
         texts = list(map(float.__repr__, observed.tolist()))
         for tag, fitted_model in (("parseal", model), ("baseline", baseline)):

@@ -126,7 +126,7 @@ def _make_scorer(zr: Dictionary, y: np.ndarray, vif_cap: float, tss: float):
     """
 
     def score(combo):
-        design = DesignMatrix.with_intercept(zr.subset(combo).columns)
+        design = DesignMatrix.with_intercept(zr.rows(combo).T)
         fact = qr_factorize(design)
         if fact.rank < design.k:
             return None

@@ -718,6 +718,15 @@ def test_a_view_of_a_view_reads_the_parents_bits():
     assert rows.tobytes() == np.ascontiguousarray(d.columns[:, picks].T).tobytes()
 
 
+def test_rows_are_a_views_columns_formed_with_no_view():
+    d = build_dictionary(synth_example1(50, seed=9), alpha=2, mixture=3)
+    for combo in [(0,), (3, 77), (len(d) - 1, 12, 40), (5, 5, 0)]:
+        rows = d.rows(combo)
+        assert rows.shape == (len(combo), d.n) and rows.flags.c_contiguous
+        assert rows.T.tobytes(order="A") == d.subset(combo).columns.tobytes(order="A")
+        assert rows.T.tobytes(order="A") == d.columns[:, list(combo)].tobytes(order="A")
+
+
 def _dict_heavy_shaped():
     """Six U[0.5, 10] inputs at n = 1000, the benchmark's dictionary-heavy shape."""
     rng = np.random.Generator(np.random.Philox(key=np.array([41, 0], dtype=np.uint64)))

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from parseal import pipeline
 from parseal.pipeline import json_text
 from parseal.screening import Records, screen
 from parseal.selection import baseline_best_subset, best_subset_search
+from test_dictionary import _dict_heavy_shaped
 
 
 def philox(seed, stream=0):
@@ -374,6 +377,139 @@ def test_report_bytes_are_json_dumps_bytes(tmp_path):
     expected = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     assert report.to_json() == expected
     assert (tmp_path / "report.json").read_bytes() == expected.encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# the streamed report writer
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _straddling(draw, chunk):
+    """Flat records, a list of dicts or a ``Records``, whose count straddles a
+    chunk boundary of ``chunk`` records; float columns may hold Nones, as |corr| does."""
+    count = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    keys = draw(st.lists(_texts, min_size=1, max_size=3, unique=True))
+    kinds = [_texts, _floats, st.integers(), _repeated, _floats | st.none(), st.none()]
+    column = st.sampled_from(kinds).flatmap(lambda kind: st.lists(kind, min_size=count, max_size=count))
+    columns = [draw(column) for _ in keys]
+    if count and draw(st.booleans()):
+        return Records(tuple(keys), *columns)
+    return [dict(zip(keys, values)) for values in zip(*columns)]
+
+
+def _chunk_and_object():
+    """A chunk size of 1, 2 or 3 records, and a drop-log-shaped or report-shaped object."""
+    return st.sampled_from([1, 2, 3]).flatmap(
+        lambda chunk: st.tuples(
+            st.just(chunk),
+            st.dictionaries(_texts, _straddling(chunk), min_size=1, max_size=3)
+            | _straddling(chunk)
+            | _report_shaped(columnar=True),
+        )
+    )
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_chunk_and_object())
+def test_the_streamed_file_is_json_text_at_every_chunk_size(tmp_path, drawn):
+    chunk, obj = drawn
+    path = tmp_path / "report.json"
+    with mock.patch.object(pipeline, "_CHUNK_RECORDS", chunk):
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            pipeline.write_json(obj, fh)
+        text = json_text(obj)
+    assert path.read_bytes() == (text + "\n").encode("ascii")
+    assert text == _dumps_records_as_lists(obj)
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 2048])
+def test_the_streamed_report_is_to_json_at_every_chunk_size(chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_CHUNK_RECORDS", chunk)
+    ds = synth_example1(200, seed=6)
+    report = run_pipeline(ds, SelectionConfig(varsigma=0.5), with_baseline=True, out_dir=tmp_path)
+    assert len(report.screening["dropped_unimportant"]) > 2 * 3 + 1
+    expected = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    assert report.to_json() == expected
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("ascii")
+    assert RunReport.from_json((tmp_path / "report.json").read_text()) == report
+
+
+def test_write_json_writes_a_chunk_of_records_at_a_time(monkeypatch):
+    monkeypatch.setattr(pipeline, "_CHUNK_RECORDS", 2)
+    writes = []
+    sink = mock.Mock(write=writes.append)
+    rows = [{"term": f"t{i}", "abs_corr": None if i % 3 else i / 7} for i in range(7)]
+    obj = {"kept": ["a"], "dropped": rows, "also": Records(("term",), ["u", "v", "w"])}
+    pipeline.write_json(obj, sink)
+    assert "".join(writes) == json.dumps(obj, indent=2, default=list) + "\n"
+    # Four chunks of the seven rows, two of the three records, then the rest.
+    assert len(writes) == 4 + 2 + 1
+    assert all(text.count('"term"') <= 2 for text in writes)
+
+
+def test_writing_a_dict_heavy_report_holds_no_whole_text(tmp_path):
+    cfg = SelectionConfig(alpha=2, mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
+    report = run_pipeline(_dict_heavy_shaped(), cfg, stable=True)
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        pipeline._write_report(report, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The text is 2.98 MB; writing it whole took 6.1 MB, a chunk at a time 1.4 MB.
+    assert path.stat().st_size > 2_500_000 > peak
+    assert path.read_bytes() == report.to_json().encode("ascii")
+
+
+def test_a_failed_report_write_leaves_the_out_dir_as_it_was(tmp_path, monkeypatch):
+    ds = synth_example1(200, seed=6)
+    cfg = SelectionConfig(varsigma=0.5)
+    earlier = tmp_path / "earlier"
+    run_pipeline(ds, cfg, with_baseline=True, out_dir=earlier, stable=True)
+    before = {name: (earlier / name).read_bytes() for name in os.listdir(earlier)}
+    real = pipeline._model_section
+
+    def planted(*args):
+        # After the drop logs, so a part of the report is flushed before it fails.
+        return real(*args) | {"rmse": math.nan}
+
+    monkeypatch.setattr(pipeline, "_model_section", planted)
+    with pytest.raises(ValueError) as dumps_error:
+        json.dumps(math.nan, allow_nan=False)
+    for out_dir in (tmp_path / "fresh", earlier):
+        with pytest.raises(ValueError) as error:
+            run_pipeline(ds, cfg, with_baseline=True, out_dir=out_dir, stable=True)
+        assert str(error.value).startswith(str(dumps_error.value).split(":")[0])
+    assert os.listdir(tmp_path / "fresh") == []
+    assert {name: (earlier / name).read_bytes() for name in os.listdir(earlier)} == before
+
+
+def test_the_dict_census_is_written_a_chunk_of_records_at_a_time(tmp_path, monkeypatch, capsys):
+    # Inputs of +-1 make every even power constant, so the census excludes terms.
+    rng = philox(509)
+    columns = rng.choice([-1.0, 1.0], size=(40, 3))
+    ds = Dataset(("a", "b", "c"), columns, "y", rng.normal(size=40))
+    path = tmp_path / "in.csv"
+    write_csv(ds, path)
+    argv = ["dict", "--input", str(path), "--response", "y", "--alpha", "2", "--mixture", "2"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    census = json.loads(whole)
+    assert len(census["excluded_terms"]) > 7
+    assert whole == json.dumps(census, indent=2) + "\n"
+    monkeypatch.setattr(pipeline, "_CHUNK_RECORDS", 3)
+    writes = []
+    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+    assert main(argv) == 0
+    assert "".join(writes) == whole and len(writes) > len(census["excluded_terms"]) // 3
+    monkeypatch.undo()
+    assert main(argv + ["--out", str(tmp_path / "census.json")]) == 0
+    assert (tmp_path / "census.json").read_text() == whole
 
 
 # ---------------------------------------------------------------------------
