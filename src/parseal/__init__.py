@@ -35,9 +35,7 @@ from .selection import (
     greedy_forward_search,
 )
 from .stats import (
-    BlandAltmanSummary,
     ModelFit,
-    bland_altman,
     ols_fit,
     p_value_two_sided,
     pearson_correlation,
@@ -45,7 +43,6 @@ from .stats import (
 )
 
 __all__ = [
-    "BlandAltmanSummary",
     "Dataset",
     "DesignMatrix",
     "Dictionary",
@@ -62,7 +59,6 @@ __all__ = [
     "admissible_factors",
     "baseline_best_subset",
     "best_subset_search",
-    "bland_altman",
     "build_dictionary",
     "canonical_key",
     "evaluate_term",

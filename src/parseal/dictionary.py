@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DictionaryTooLarge, DomainViolation, NonFinite
+from .errors import DictionaryTooLarge, DomainViolation, LengthMismatch, NonFinite
 from .gram import _U, _gamma
 from .stats import center
 
@@ -115,6 +115,10 @@ def _factor_key(f: Factor) -> str:
     return f"v{f.variable_index}^{f.exponent.numerator}/{f.exponent.denominator}"
 
 
+def _raw_key(variable_index: int) -> str:
+    return _factor_key(Factor(variable_index, IDENTITY, Fraction(1)))
+
+
 def canonical_key(term: TermExpr) -> str:
     """Injective, sortable string form: ``v0^1/2*log(v2)^-1`` style."""
     return term.key
@@ -146,9 +150,8 @@ def format_term(term: TermExpr, names) -> str:
     return f"{num}/({'*'.join(denominator)})"
 
 
-def _admissible_with_reasons(column: np.ndarray, alpha: int):
-    """Canonical (transform, exponent) pairs for one column plus skip reasons."""
-    col = np.asarray(column, dtype=np.float64)
+def _admissible_with_reasons(col: np.ndarray, alpha: int):
+    """Canonical (transform, exponent) pairs for one float64 column plus skip reasons."""
     strictly_positive = bool(np.min(col) > 0.0)
     bounded_from_zero = bool(np.min(np.abs(col)) > ZERO_TOL)
 
@@ -249,29 +252,24 @@ class Dictionary:
         The terms' evaluated columns.
     source_labels : sequence of str
         Input variable names, for rendering terms.
-    census : DictionaryCensus, optional
     """
 
-    def __init__(self, terms, columns, source_labels, census=None):
+    def __init__(self, terms, columns, source_labels):
         terms = tuple(terms)
-        cols = np.asarray(columns, dtype=np.float64)
-        if cols.ndim != 2 or cols.shape[1] != len(terms):
+        rows = np.array(columns, dtype=np.float64, order="F").T  # a C-ordered copy, not a view
+        if rows.ndim != 2 or rows.shape[0] != len(terms):
             raise ValueError(
-                f"need an (n, {len(terms)}) column matrix, got shape {cols.shape}"
+                f"need an (n, {len(terms)}) column matrix, got shape {rows.T.shape}"
             )
-        cols.setflags(write=False)
         keys = np.array([t.key for t in terms], dtype=object)
         recipe = np.arange(len(terms))[:, None]
-        rows = np.ascontiguousarray(cols.T)
-        self._assign(keys, terms, None, rows, recipe, source_labels, census, None)
-        self._columns = cols
+        self._assign(keys, terms, None, rows, recipe, source_labels, None, None)
 
     @classmethod
     def _of_recipe(cls, keys, terms, factors, factor_rows, recipe, source_labels, census, dots):
         """A dictionary whose term rows are formed from ``factor_rows`` on demand."""
         z = object.__new__(cls)
         z._assign(keys, terms, factors, factor_rows, recipe, source_labels, census, dots)
-        z._columns = None
         return z
 
     def _assign(self, keys, terms, factors, factor_rows, recipe, source_labels, census, dots):
@@ -299,17 +297,6 @@ class Dictionary:
             rows = zip(self._recipe.tolist(), self._keys)
             self._terms = tuple(_term(self._factors, row, key) for row, key in rows)
         return self._terms
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The read-only (n, T) matrix of every term, formed once from ``blocks`` and kept."""
-        if self._columns is None:
-            rows = np.empty((len(self), self.n))
-            for index, block in self.blocks():
-                rows[index] = block
-            rows.setflags(write=False)
-            self._columns = rows.T
-        return self._columns
 
     def keys(self) -> list:
         return self._keys.tolist()
@@ -357,7 +344,7 @@ class Dictionary:
         )
 
     def rows(self, indices) -> np.ndarray:
-        """The (k, n) rows of the requested terms, formed as a view's ``columns`` would be."""
+        """The (k, n) rows of the requested terms, with the bits ``blocks`` gives them."""
         return _form(self._factor_rows, self._recipe[np.asarray(indices, dtype=np.intp)])
 
 
@@ -537,6 +524,9 @@ def build_dictionary(
         raise ValueError(f"need a 2-d (n, p) column matrix, got shape {columns.shape}")
     if not np.all(np.isfinite(columns)):
         raise NonFinite("input columns contain NaN or infinite entries")
+    response = np.array(dataset.response, dtype=np.float64)
+    if response.shape != (len(columns),):
+        raise LengthMismatch(f"response shape {response.shape} does not match {len(columns)} rows")
     p = columns.shape[1]
     names = tuple(str(nm) for nm in dataset.variable_names)
     if len(names) != p:
@@ -603,7 +593,6 @@ def build_dictionary(
     # limit's own rounding, therefore has _is_constant's verdict.  Rows
     # inside the band, or with a norm that may have under- or overflowed, go
     # to _is_constant itself.
-    response = np.array(dataset.response, dtype=np.float64)
     yc = center(response, "response")
     with np.errstate(over="ignore", invalid="ignore"):
         # The pass runs in enumeration order; its results are put in key order.

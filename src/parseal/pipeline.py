@@ -287,7 +287,7 @@ def _write_companion_csvs(out_dir, tag: str, observed, observed_texts: list, fit
     (rounding to nearest is symmetric), so both write the same magnitude
     texts after their own sign bit, which signs zeros as computed.
     """
-    _as_finite_vector(fitted, "fitted")  # raises NonFinite, as bland_altman does
+    _as_finite_vector(fitted, "fitted")  # a NaN or inf fitted value raises NonFinite
     signed = (",", ",-").__getitem__  # a separator, then the sign of the value after it
     residual = observed - fitted
     magnitudes = list(map(float.__repr__, np.abs(residual).tolist()))
@@ -354,7 +354,7 @@ def run_pipeline(
     if with_baseline:
         step = time.perf_counter()
         with _stage("baseline"):
-            baseline = baseline_best_subset(dataset, dataset.response, cfg)
+            baseline = baseline_best_subset(z, dataset.response, cfg)
         timing["baseline_s"] = time.perf_counter() - step
     timing["total_s"] = time.perf_counter() - start
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import _HUGE, _TINY, Dictionary, _blocks
+from .dictionary import _HUGE, _TINY, Dictionary
 from .errors import AllColumnsDropped, LengthMismatch, ZeroVariance
 from .gram import _U, _gamma
 from .stats import CenteredColumn, center, pearson_correlation
@@ -227,8 +227,8 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     losers, winners, drop_corrs = [], [], []
     correlations = len(z1)
     referee_calls = 0
-    for start, block in _blocks(z1._factor_rows, z1._recipe[order]):
-        swept = order[start:start + len(block)].tolist()
+    for index, block in z1.subset(order).blocks():
+        swept = order[index].tolist()
         t = len(kept)
         # The block's rows, centered with center's bits, go after the kept ones.
         kept_rows.resize((t + len(block), z1.n), refcheck=False)

@@ -34,18 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .dictionary import (
-    IDENTITY,
-    Dictionary,
-    Factor,
-    TermExpr,
-    _is_constant,
-    canonical_key,
-)
+from .dictionary import Dictionary, _raw_key
 from .errors import (
     BudgetExceeded,
     InsufficientData,
@@ -204,7 +196,7 @@ def _key_order(zr: Dictionary):
 
 def _finish(zr: Dictionary, y, combo, vif_cap, counters, best_by_size) -> SelectedModel:
     chosen = zr.subset(combo)
-    fit = ols_fit(DesignMatrix.with_intercept(chosen.columns), y, term_labels=chosen.keys())
+    fit = ols_fit(DesignMatrix.with_intercept(zr.rows(combo).T), y, term_labels=chosen.keys())
     assert np.max(fit.vifs) < vif_cap, "selected model failed its own feasibility check"
     return SelectedModel(
         terms=chosen.terms,
@@ -316,23 +308,16 @@ def greedy_forward_search(zr: Dictionary, y, cfg: SelectionConfig) -> SelectedMo
     return _finish(zr, y, current, cfg.vif_cap, (evaluated, feasible), best_by_size)
 
 
-def baseline_best_subset(dataset, y, cfg: SelectionConfig) -> SelectedModel:
+def baseline_best_subset(z: Dictionary, y, cfg: SelectionConfig) -> SelectedModel:
     """Best-subset search over the raw input columns (no transformations).
 
-    Constant columns are excluded up front, exactly as the dictionary builder
-    would exclude them.
+    ``z`` is ``build_dictionary``'s result: its terms ``v{i}^1/1`` are the raw
+    columns its census did not find constant, with their carried statistics.
     """
-    columns = np.asarray(dataset.columns, dtype=np.float64)
-    names = tuple(dataset.variable_names)
-    usable = [i for i in range(columns.shape[1]) if not _is_constant(columns[:, i])]
-    if not usable:
+    if z.census is None:
+        raise ValueError("the baseline needs the whole dictionary build_dictionary returns")
+    raw = {_raw_key(i) for i in range(len(z.source_labels))}
+    picks = [j for j, key in enumerate(z.keys()) if key in raw]
+    if not picks:
         raise ZeroVariance("every raw input column is constant")
-    terms = [TermExpr((Factor(i, IDENTITY, Fraction(1)),)) for i in usable]
-    keyed = sorted(zip((canonical_key(t) for t in terms), terms, usable))
-    raw = Dictionary(
-        terms=tuple(t for _, t, _ in keyed),
-        columns=columns[:, [i for _, _, i in keyed]],
-        source_labels=names,
-        census=None,
-    )
-    return best_subset_search(raw, y, cfg)
+    return best_subset_search(z.subset(picks), y, cfg)

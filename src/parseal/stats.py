@@ -1,4 +1,4 @@
-"""Ordinary-least-squares inference, VIF, and agreement statistics."""
+"""Ordinary-least-squares inference, VIF, and correlation."""
 
 from __future__ import annotations
 
@@ -48,14 +48,6 @@ class ModelFit:
     rmse: float
     residuals: np.ndarray
     n_obs: int
-
-
-@dataclass(frozen=True)
-class BlandAltmanSummary:
-    mean_diff: float
-    sd_diff: float
-    limits_of_agreement: tuple
-    pairs: np.ndarray  # rows of (mean(fitted, observed), fitted - observed)
 
 
 def _as_finite_vector(v, name: str) -> np.ndarray:
@@ -357,35 +349,4 @@ def ols_fit(x: DesignMatrix, y, term_labels=None) -> ModelFit:
         rmse=math.sqrt(sigma2),
         residuals=residuals,
         n_obs=n,
-    )
-
-
-def bland_altman(observed, fitted) -> BlandAltmanSummary:
-    """Bland-Altman agreement summary between observed and fitted values.
-
-    Differences are ``fitted - observed``; limits of agreement are
-    ``mean_diff +/- 1.96 * sd_diff`` with the sample (ddof=1) standard
-    deviation.
-    """
-    observed = _as_finite_vector(observed, "observed")
-    fitted = _as_finite_vector(fitted, "fitted")
-    if observed.shape[0] != fitted.shape[0]:
-        raise LengthMismatch(
-            f"observed has {observed.shape[0]} rows but fitted has {fitted.shape[0]}"
-        )
-    if observed.shape[0] < 2:
-        raise InsufficientData("Bland-Altman needs at least two pairs")
-    diffs = fitted - observed
-    means = 0.5 * (fitted + observed)
-    mean_diff = float(diffs.mean())
-    sd_diff = float(diffs.std(ddof=1))
-    lo = mean_diff - 1.96 * sd_diff
-    hi = mean_diff + 1.96 * sd_diff
-    pairs = np.column_stack([means, diffs])
-    pairs.setflags(write=False)
-    return BlandAltmanSummary(
-        mean_diff=mean_diff,
-        sd_diff=sd_diff,
-        limits_of_agreement=(lo, hi),
-        pairs=pairs,
     )

@@ -8,6 +8,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,7 @@ from parseal import (
 from parseal import dictionary
 from parseal.cli import main
 from parseal.dictionary import IDENTITY, LOG
-from parseal.errors import DictionaryTooLarge, DomainViolation, NonFinite
+from parseal.errors import DictionaryTooLarge, DomainViolation, LengthMismatch, NonFinite
 from parseal.stats import center
 
 
@@ -47,6 +48,11 @@ def _dataset(columns, names):
         response_name="y",
         response=np.arange(columns.shape[0], dtype=np.float64) + 1.0,
     )
+
+
+def matrix_of(d):
+    """The (n, T) matrix of every term of ``d``, formed through ``rows``."""
+    return d.rows(range(len(d))).T
 
 
 POSITIVE = np.array([0.5, 2.0, 3.0])  # strictly positive, log bounded from zero
@@ -327,7 +333,7 @@ def test_dictionary_build_is_deterministic():
     d1 = build_dictionary(ds, alpha=2, mixture=2)
     d2 = build_dictionary(ds, alpha=2, mixture=2)
     assert d1.keys() == d2.keys()
-    assert d1.columns.tobytes() == d2.columns.tobytes()
+    assert matrix_of(d1).tobytes() == matrix_of(d2).tobytes()
 
 
 def test_dictionary_budget_enforced_before_evaluation():
@@ -380,7 +386,7 @@ def test_dictionary_subset_and_labels():
     d = build_dictionary(ds, alpha=1, mixture=1)
     sub = d.subset([2, 0])
     assert sub.keys() == [d.keys()[2], d.keys()[0]]
-    np.testing.assert_array_equal(sub.columns[:, 0], d.columns[:, 2])
+    np.testing.assert_array_equal(sub.rows([0])[0], d.rows([2])[0])
     labels = [format_term(t, d.source_labels) for t in d.terms]
     assert "1/a" in labels
 
@@ -391,6 +397,17 @@ def test_build_dictionary_validation():
         build_dictionary(ds, alpha=0, mixture=1)
     with pytest.raises(ValueError):
         build_dictionary(ds, alpha=1, mixture=0)
+
+
+@pytest.mark.parametrize("length", [49, 51])
+def test_a_response_of_another_length_raises_before_any_row_is_formed(monkeypatch, length):
+    # Anything with columns, names and a response may be built: the lengths are checked.
+    columns = synth_example1(50, seed=1).columns
+    ds = SimpleNamespace(columns=columns, variable_names=("a", "b", "c"), response=np.ones(length))
+    monkeypatch.setattr(dictionary, "_evaluate_factor", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(LengthMismatch) as err:
+        build_dictionary(ds, alpha=2, mixture=2)
+    assert str(err.value) == f"response shape ({length},) does not match 50 rows"
 
 
 def test_census_to_dict_is_json_friendly():
@@ -500,8 +517,8 @@ def test_block_builder_matches_the_per_term_builder(inputs):
         d = build_dictionary(ds, alpha, mixture)
     kept_keys, matrix, excluded, kept_by_mixture, candidates = expected
     assert d.keys() == kept_keys
-    assert d.columns.shape == matrix.shape
-    assert d.columns.tobytes() == matrix.tobytes()
+    assert matrix_of(d).shape == matrix.shape
+    assert matrix_of(d).tobytes() == matrix.tobytes()
     assert d.census.candidate_terms == candidates
     assert d.census.kept_terms == len(kept_keys)
     assert d.census.kept_by_mixture == kept_by_mixture
@@ -597,10 +614,8 @@ def test_subset_layout_does_not_depend_on_the_dictionary_layout():
     d = build_dictionary(synth_example1(40, seed=3), alpha=2, mixture=2)
     picks = [5, 0, len(d) - 1, 17]
     sub = d.subset(picks)
-    row_major = np.ascontiguousarray(d.columns)[:, picks]
-    assert sub.columns.strides == row_major.strides
-    assert sub.columns.tobytes(order="A") == row_major.tobytes(order="A")
-    assert not sub.columns.flags.writeable
+    row_major = np.ascontiguousarray(matrix_of(d))[:, picks]
+    assert matrix_of(sub).tobytes(order="A") == row_major.tobytes(order="A")
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +666,8 @@ def test_term_rows_are_formed_on_demand_with_the_matrix_bits():
         seen[index] += 1
     assert (seen == 1).all()
     picks = [7, 3, len(d) - 1, 3]
-    assert d.subset(picks).columns.tobytes() == matrix[:, picks].tobytes()
-    assert d.columns.tobytes() == matrix.tobytes()
-    assert not d.columns.flags.writeable
+    assert d.rows(picks).T.tobytes() == matrix[:, picks].tobytes()
+    assert matrix_of(d).tobytes() == matrix.tobytes()
 
 
 def test_a_matrix_dictionary_is_one_factor_row_per_term():
@@ -661,13 +675,23 @@ def test_a_matrix_dictionary_is_one_factor_row_per_term():
     columns = rng.normal(size=(9, 4))
     terms = tuple(TermExpr((Factor(i, IDENTITY, Fraction(1)),)) for i in range(4))
     d = Dictionary(terms=terms, columns=columns, source_labels=tuple("abcd"))
-    assert d.columns is columns and not columns.flags.writeable
     blocks = list(d.blocks())
     assert [index.tolist() for index, _ in blocks] == [[0, 1, 2, 3]]
     assert blocks[0][1].tobytes() == columns.T.tobytes()
-    assert d.subset([2, 0]).columns.tobytes() == columns[:, [2, 0]].tobytes()
+    assert d.rows([2, 0]).T.tobytes() == columns[:, [2, 0]].tobytes()
     with pytest.raises(ValueError):
         Dictionary(terms=terms, columns=columns[:, :3], source_labels=tuple("abcd"))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_matrix_dictionary_copies_the_callers_matrix(order):
+    columns = np.array(np.random.default_rng(7).normal(size=(9, 4)), order=order)
+    terms = tuple(TermExpr((Factor(i, IDENTITY, Fraction(1)),)) for i in range(4))
+    d = Dictionary(terms=terms, columns=columns, source_labels=tuple("abcd"))
+    before = d.rows(range(4)).copy()
+    assert columns.flags.writeable
+    columns[:] = 0.0
+    assert d.rows(range(4)).tobytes() == before.tobytes() != np.zeros_like(before).tobytes()
 
 
 def test_subsets_and_importance_form_no_rows(monkeypatch):
@@ -712,10 +736,9 @@ def test_a_view_of_a_view_reads_the_parents_bits():
     picks = [outer[i] for i in inner]
     view = d.subset(outer).subset(inner)
     assert view.terms == tuple(d.terms[i] for i in picks)
-    assert view.columns.tobytes(order="A") == d.columns[:, picks].tobytes(order="A")
-    assert view.columns.flags.f_contiguous and not view.columns.flags.writeable
+    assert matrix_of(view).tobytes(order="A") == matrix_of(d)[:, picks].tobytes(order="A")
     rows = np.concatenate([block for _, block in view.blocks()])
-    assert rows.tobytes() == np.ascontiguousarray(d.columns[:, picks].T).tobytes()
+    assert rows.tobytes() == np.ascontiguousarray(matrix_of(d)[:, picks].T).tobytes()
 
 
 def test_rows_are_a_views_columns_formed_with_no_view():
@@ -723,8 +746,9 @@ def test_rows_are_a_views_columns_formed_with_no_view():
     for combo in [(0,), (3, 77), (len(d) - 1, 12, 40), (5, 5, 0)]:
         rows = d.rows(combo)
         assert rows.shape == (len(combo), d.n) and rows.flags.c_contiguous
-        assert rows.T.tobytes(order="A") == d.subset(combo).columns.tobytes(order="A")
-        assert rows.T.tobytes(order="A") == d.columns[:, list(combo)].tobytes(order="A")
+        view = d.subset(combo)
+        assert rows.T.tobytes(order="A") == matrix_of(view).tobytes(order="A")
+        assert rows.T.tobytes(order="A") == matrix_of(d)[:, list(combo)].tobytes(order="A")
 
 
 def _dict_heavy_shaped():

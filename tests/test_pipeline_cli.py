@@ -201,7 +201,7 @@ def test_companion_csvs_of_a_fit_with_a_baseline_match_the_oracle(tmp_path):
     zr, _ = screen(z, ds.response, cfg.importance, cfg.varsigma)
     models = {
         "parseal": best_subset_search(zr, ds.response, cfg),
-        "baseline": baseline_best_subset(ds, ds.response, cfg),
+        "baseline": baseline_best_subset(z, ds.response, cfg),
     }
     for tag, model in models.items():
         fitted = ds.response - model.fit.residuals

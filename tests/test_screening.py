@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_dictionary import _build_inputs, _dataset, _dict_heavy_shaped, _per_term_build
+from test_dictionary import (
+    _build_inputs,
+    _dataset,
+    _dict_heavy_shaped,
+    _per_term_build,
+    matrix_of,
+)
 
 from parseal import (
     Dictionary,
@@ -76,7 +82,7 @@ def test_importance_matches_independent_order_statistics():
 
 
 def abs_corr_of_term(z, term, y):
-    return abs_corr(z.columns[:, z.terms.index(term)], y)
+    return abs_corr(z.rows([z.terms.index(term)])[0], y)
 
 
 def test_records_index_and_slice_as_the_list_of_dicts():
@@ -182,7 +188,7 @@ def test_redundancy_keeps_pairwise_correlations_at_or_below_limit():
     x = base @ (np.eye(8) + 0.5)
     y = x.sum(axis=1) + rng.normal(size=100)
     result = redundancy_filter(raw_dictionary(x), y, 0.55)
-    cols = result.dictionary.columns
+    cols = matrix_of(result.dictionary)
     k = cols.shape[1]
     for i in range(k):
         for j in range(i + 1, k):
@@ -326,7 +332,7 @@ def _per_pair_screen(z, y, rule, varsigma):
         return out
 
     keys = z.keys()
-    corrs = abs_corrs(z.columns)
+    corrs = abs_corrs(matrix_of(z))
     finite = [c for c in corrs if c is not None]
     max_abs = max(finite) if finite else 0.0
     threshold = rule.value if rule.mode == "absolute" else rule.value * max_abs
@@ -340,7 +346,7 @@ def _per_pair_screen(z, y, rule, varsigma):
     ]
     if not kept_idx:
         return {"all_dropped": max_abs.hex(), "calls": calls}
-    columns = z.columns[:, kept_idx]
+    columns = z.rows(kept_idx).T
     keys1 = [keys[i] for i in kept_idx]
     corrs1 = abs_corrs(columns)
     order = sorted(
@@ -660,9 +666,8 @@ def test_streamed_screening_matches_the_matrix_path(inputs, data):
     # Survivors carry the matrix path's bits, in its layout.
     place = {k: i for i, k in enumerate(kept_keys)}
     for survivors in (importance.dictionary, redundancy.dictionary):
-        want = reference.columns[:, [place[k] for k in survivors.keys()]]
-        assert survivors.columns.strides == want.strides
-        assert survivors.columns.tobytes(order="A") == want.tobytes(order="A")
+        want = matrix_of(reference)[:, [place[k] for k in survivors.keys()]]
+        assert matrix_of(survivors).tobytes(order="A") == want.tobytes(order="A")
 
 
 def test_importance_holds_no_matrix_of_every_row():
@@ -764,7 +769,7 @@ def _screen_outcome(z, y):
 def test_carried_statistics_screen_as_the_matrix_path(make):
     ds = make(80, seed=12)
     d = build_dictionary(ds, alpha=2, mixture=3)
-    matrix = Dictionary(d.terms, d.columns, d.source_labels)  # carries no statistics
+    matrix = Dictionary(d.terms, matrix_of(d), d.source_labels)  # carries no statistics
     y = ds.response
     off = y.copy()
     off[7] = np.nextafter(off[7], math.inf)  # one last bit away from the built-for response
@@ -794,7 +799,7 @@ def _standardization_cases(make):
     off[7] = np.nextafter(off[7], math.inf)
     outer = list(range(len(d) - 1, -1, -2))
     inner = list(range(0, len(outer), 3)) + [1, 0]
-    matrix = Dictionary(d.terms, d.columns, d.source_labels)
+    matrix = Dictionary(d.terms, matrix_of(d), d.source_labels)
     return [(d, y), (d.subset(outer).subset(inner), y), (matrix, y), (d, off)]
 
 

@@ -24,7 +24,7 @@ from parseal import (
     synth_example2,
     vif,
 )
-from parseal import gram, pipeline, selection
+from parseal import dictionary, gram, pipeline, selection
 from parseal.dictionary import IDENTITY, build_dictionary
 from parseal.errors import (
     BudgetExceeded,
@@ -554,14 +554,14 @@ def test_a_fit_forms_only_the_columns_of_the_subsets_it_fits(monkeypatch, case):
     else:
         dataset = _dict_heavy_shaped()
         cfg = SelectionConfig(mixture_m=3, varsigma=0.9, search_mode="greedy_forward")
-    real = Dictionary.columns.fget
+    real = Dictionary.rows
 
-    def columns(self):
-        if len(self) > cfg.max_subset_size:  # wider than any subset the searches fit
-            raise AssertionError(f"the columns of {len(self)} terms were formed")
-        return real(self)
+    def rows(self, indices):
+        if len(indices) > cfg.max_subset_size:  # more than any subset the searches fit
+            raise AssertionError(f"the rows of {len(indices)} terms were formed")
+        return real(self, indices)
 
-    monkeypatch.setattr(Dictionary, "columns", property(columns))
+    monkeypatch.setattr(Dictionary, "rows", rows)
     report = pipeline.run_pipeline(dataset, cfg, with_baseline=True)
     assert report.selected_model["terms"] and report.baseline_model["terms"]
 
@@ -574,7 +574,8 @@ def test_a_fit_forms_only_the_columns_of_the_subsets_it_fits(monkeypatch, case):
 def test_baseline_matches_brute_force_on_raw_columns():
     ds = synth_example1(300, seed=6)
     cfg = SelectionConfig()
-    model = baseline_best_subset(ds, ds.response, cfg)
+    z = build_dictionary(ds, cfg.alpha, cfg.mixture_m)
+    model = baseline_best_subset(z, ds.response, cfg)
     keys = [f"v{i}^1/1" for i in range(3)]
     combo, obj = _brute_search(ds.columns, ds.response, keys, cfg.vif_cap, 3)
     assert sorted(t.variables[0] for t in model.terms) == sorted(combo)
@@ -592,8 +593,9 @@ def test_baseline_recovers_exact_linear_model_at_minimal_size():
     plain = Plain()
     plain.columns = columns
     plain.variable_names = ("x1", "x2", "x3")
-    y = 3.0 + 2.0 * columns[:, 0] - columns[:, 1]
-    model = baseline_best_subset(plain, y, SelectionConfig())
+    y = plain.response = 3.0 + 2.0 * columns[:, 0] - columns[:, 1]
+    cfg = SelectionConfig()
+    model = baseline_best_subset(build_dictionary(plain, cfg.alpha, cfg.mixture_m), y, cfg)
     assert model.objective == 1.0
     assert sorted(t.variables[0] for t in model.terms) == [0, 1]
 
@@ -607,9 +609,48 @@ def test_baseline_skips_constant_columns():
     plain = Plain()
     plain.columns = columns
     plain.variable_names = ("const", "x")
-    y = columns[:, 1] * 2.0 + philox(418, 1).normal(size=30)
-    model = baseline_best_subset(plain, y, SelectionConfig())
+    y = plain.response = columns[:, 1] * 2.0 + philox(418, 1).normal(size=30)
+    cfg = SelectionConfig()
+    z = build_dictionary(plain, cfg.alpha, cfg.mixture_m)
+    assert ("v0^1/1", "constant column") in z.census.excluded_terms
+    model = baseline_best_subset(z, y, cfg)
     assert [t.variables for t in model.terms] == [(1,)]
+
+
+def test_baseline_of_only_constant_columns_raises_zero_variance():
+    plain = Dataset(("a", "b"), np.full((30, 2), 5.0), "y", philox(419).normal(size=30))
+    cfg = SelectionConfig()
+    z = build_dictionary(plain, cfg.alpha, cfg.mixture_m)
+    with pytest.raises(ZeroVariance, match="every raw input column is constant"):
+        baseline_best_subset(z, plain.response, cfg)
+
+
+def test_baseline_needs_the_built_dictionary_and_its_census():
+    ds = synth_example1(80, seed=2)
+    cfg = SelectionConfig()
+    z = build_dictionary(ds, cfg.alpha, cfg.mixture_m)
+    raw = [i for i, key in enumerate(z.keys()) if "*" not in key]
+    for partial in (z.subset(raw), raw_dictionary(ds.columns)):
+        # A view or a matrix dictionary carries no census: its raw terms may be missing.
+        with pytest.raises(ValueError, match="build_dictionary"):
+            baseline_best_subset(partial, ds.response, cfg)
+
+
+def test_a_fit_with_a_baseline_takes_the_row_statistics_once(monkeypatch):
+    # The baseline reads the raw terms' statistics carried by the fit's dictionary.
+    passes = []
+    real = dictionary._centered_dots
+    monkeypatch.setattr(dictionary, "_centered_dots", lambda *a: passes.append(1) or real(*a))
+    report = pipeline.run_pipeline(synth_example1(300, seed=3), with_baseline=True)
+    assert len(passes) == 1
+    baseline = report.baseline_model
+    assert baseline["term_keys"] == ["v0^1/1", "v1^1/1", "v2^1/1"]
+    assert (baseline["candidates_evaluated"], baseline["feasible_candidates"]) == (7, 7)
+    assert float(baseline["objective"]).hex() == "0x1.c0e1df118f389p-1"
+    assert [float(c).hex() for c in baseline["coefficients"]] == [
+        "-0x1.c285366e64738p+17", "0x1.082fc1111c824p+12",
+        "0x1.d35c3a6a3e742p+7", "0x1.02cbae0a8c722p+12",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Correlation, OLS inference, VIF, t-tail p-values, and Bland-Altman."""
+"""Correlation, OLS inference, VIF and t-tail p-values."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from parseal import (
     DesignMatrix,
-    bland_altman,
     ols_fit,
     p_value_two_sided,
     pearson_correlation,
@@ -414,44 +413,3 @@ def test_p_value_monotone_decreasing_in_abs_t(t1, t2, df):
     p_hi = p_value_two_sided(hi, df)
     assert 0.0 <= p_hi <= p_lo <= 1.0
     assert p_value_two_sided(-lo, df) == p_lo  # symmetric in the sign of t
-
-
-# ---------------------------------------------------------------------------
-# bland_altman
-# ---------------------------------------------------------------------------
-
-
-def test_bland_altman_identical_series():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    summary = bland_altman(y, y)
-    assert summary.mean_diff == 0.0
-    assert summary.sd_diff == 0.0
-    assert summary.limits_of_agreement == (0.0, 0.0)
-    np.testing.assert_array_equal(summary.pairs[:, 0], y)
-
-
-def test_bland_altman_constant_offset():
-    y = np.array([1.0, 2.0, 3.0])
-    summary = bland_altman(y, y + 1.0)
-    assert summary.mean_diff == pytest.approx(1.0, abs=1e-15)
-    assert summary.sd_diff == pytest.approx(0.0, abs=1e-15)
-
-
-def test_bland_altman_matches_direct_formulas():
-    rng = philox(214)
-    observed = rng.normal(size=150) * 10.0
-    fitted = observed + rng.normal(size=150) * 0.5
-    summary = bland_altman(observed, fitted)
-    diffs = fitted - observed
-    assert summary.mean_diff == pytest.approx(float(diffs.mean()), abs=1e-12)
-    assert summary.sd_diff == pytest.approx(float(diffs.std(ddof=1)), abs=1e-12)
-    lo, hi = summary.limits_of_agreement
-    assert lo == pytest.approx(summary.mean_diff - 1.96 * summary.sd_diff, abs=1e-12)
-    assert hi == pytest.approx(summary.mean_diff + 1.96 * summary.sd_diff, abs=1e-12)
-    np.testing.assert_allclose(summary.pairs[:, 0], (observed + fitted) / 2.0, atol=1e-15)
-    np.testing.assert_allclose(summary.pairs[:, 1], diffs, atol=1e-15)
-
-
-def test_bland_altman_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        bland_altman([1.0, 2.0], [1.0, 2.0, 3.0])
