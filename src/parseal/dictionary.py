@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DictionaryTooLarge, DomainViolation, LengthMismatch, NonFinite
+from .errors import DictionaryTooLarge, DomainViolation, EmptyMatrix, LengthMismatch, NonFinite
 from .gram import _U, _gamma
 from .stats import center
 
@@ -514,14 +514,19 @@ def build_dictionary(
     ------
     DictionaryTooLarge
         If the candidate count exceeds ``budget``.
+    EmptyMatrix
+        If the dataset has no input column besides the response.
     """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if mixture < 1:
         raise ValueError(f"mixture must be >= 1, got {mixture}")
     columns = np.asarray(dataset.columns, dtype=np.float64)
-    if columns.ndim != 2 or columns.shape[1] == 0:
+    if columns.ndim != 2:
         raise ValueError(f"need a 2-d (n, p) column matrix, got shape {columns.shape}")
+    if columns.shape[1] == 0:
+        response_name = getattr(dataset, "response_name", "the response")
+        raise EmptyMatrix(f"no input column is left once the response {response_name!r} is taken")
     if not np.all(np.isfinite(columns)):
         raise NonFinite("input columns contain NaN or infinite entries")
     response = np.array(dataset.response, dtype=np.float64)

@@ -3,6 +3,13 @@
 The solver never forms normal equations: conditioning stays at kappa(X)
 instead of kappa(X)^2, and the pivoted R factor doubles as a cheap,
 deterministic rank detector.
+
+Here and in ``stats``, scipy is imported inside the functions that call it,
+at the first factorization, not at import time.  Building and screening the
+dictionary need only numpy; ``import scipy.linalg`` costs most of a fresh
+``import parseal``, so commands that never fit (``--help``, ``synth``,
+``dict``, a rejected input) do not pay for it.  Later calls find the module
+in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EmptyMatrix, NonFinite
 
@@ -81,6 +87,8 @@ class QRFactorization:
 
 def qr_factorize(x: DesignMatrix) -> QRFactorization:
     """Column-pivoted economic QR with a relative-diagonal rank estimate."""
+    import scipy.linalg
+
     q, r, pivot = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
@@ -96,6 +104,8 @@ def _solve_from_factorization(fact: QRFactorization, x: DesignMatrix, y: np.ndar
     Returns the coefficients, in the design's column order, and the residual
     vector ``y - X b``.
     """
+    import scipy.linalg
+
     k = x.k
     rhs = fact.q.T @ y
     beta_pivoted = scipy.linalg.solve_triangular(fact.r[:k, :k], rhs[:k])

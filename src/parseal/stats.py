@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EmptyMatrix,
@@ -151,16 +150,24 @@ def vif(columns) -> np.ndarray:
         return np.array([1.0])
     if n < 2:
         raise InsufficientData("vif needs at least two observations")
+    # Scale each column by an exact power of two that brings its largest
+    # magnitude into [0.5, 1).  Every later step commutes with that scale, so
+    # the factors keep their bits for in-range columns, and the squares below
+    # can no longer overflow or underflow at extreme units.
+    _, exponents = np.frexp(np.max(np.abs(x), axis=0))
+    x = np.ldexp(x, -exponents)
     centered = x - x.mean(axis=0)
     norms = np.sqrt(np.sum(centered * centered, axis=0))
     if np.any(norms == 0.0):
         raise ZeroVariance("vif is undefined for a constant column")
     scaled = centered / norms
     corr = scaled.T @ scaled
+    import scipy.linalg
+
     try:
         cho = scipy.linalg.cho_factor(corr, lower=False, check_finite=False)
         inv = scipy.linalg.cho_solve(cho, np.eye(k), check_finite=False)
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:  # the class scipy.linalg raises
         raise PerfectCollinearity(
             "predictor correlation matrix is singular (exactly collinear columns)"
         ) from None
@@ -316,6 +323,8 @@ def ols_fit(x: DesignMatrix, y, term_labels=None) -> ModelFit:
     sigma2 = rss / dof
 
     # diag((X^T X)^{-1}) from the triangular factor: X^T X = P R^T R P^T.
+    import scipy.linalg
+
     r_inv = scipy.linalg.solve_triangular(
         fact.r[:k_plus_1, :k_plus_1], np.eye(k_plus_1), check_finite=False
     )

@@ -630,6 +630,47 @@ def test_cli_invalid_values_exit_one_without_traceback(argv, message, example1_c
     assert not out.exists()
 
 
+# Runs the CLI in a fresh interpreter and reports, on its last stdout line,
+# the exit code and whether scipy was imported.  Without arguments it only
+# imports the package.
+_FOOTPRINT = """
+import sys
+import parseal
+code = None
+if len(sys.argv) > 1:
+    from parseal.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_scipy",
+    [
+        ([], "None", False),
+        (["--help"], "0", False),
+        (["synth", "--example", "2", "--n", "50", "--out", "{out}/synth.csv"], "0", False),
+        (["dict", "--input", "{csv}", "--response", "y"], "0", False),
+        (["fit", "--input", "{csv}"], "1", False),
+        (["fit", "--input", "{csv}", "--response", "nope", "--out-dir", "{out}"], "2", False),
+        (["fit", "--input", "{csv}", "--response", "y", "--out-dir", "{out}"], "0", True),
+    ],
+    ids=["import", "help", "synth", "dict", "usage-error", "load-error", "fit"],
+)
+def test_only_a_least_squares_call_imports_scipy(argv, code, loads_scipy, example1_csv, tmp_path):
+    # scipy.linalg is most of a fresh import's time, and only the fit's QR
+    # and VIF stages call it: an import at module level would fail here.
+    argv = [a.format(csv=example1_csv, out=tmp_path) for a in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{code} {loads_scipy}"
+
+
 def test_cli_unknown_flag_exits_one(example1_csv):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", str(example1_csv), "--response", "y", "--frobnicate"])
@@ -699,6 +740,20 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
     )
     assert code == 2
     assert "[screening]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "dict"])
+def test_cli_a_csv_with_only_the_response_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "only_y.csv"
+    path.write_text("y\n" + "".join(f"{v!r}\n" for v in philox(507).uniform(size=20).tolist()))
+    argv = [command, "--input", str(path), "--response", "y"]
+    if command == "fit":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parseal {command}: error")
+    assert err.endswith("no input column is left once the response 'y' is taken\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exact_fits_report_infinite_and_undefined_t(tmp_path, capsys):

@@ -361,6 +361,45 @@ def test_vif_constant_column_rejected():
         vif(x)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(3, 40),
+    st.lists(st.integers(-900, 900), min_size=5, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_vif_is_bit_identical_under_power_of_two_column_scales(seed, k, extra_rows, powers):
+    # Every entry stays a normal double at these scales, so scaling a column
+    # by 2^p is exact and the factors must not move by a single bit.
+    x = philox(seed).uniform(-1.0, 1.0, size=(k + extra_rows, k))
+    scaled = np.ldexp(x, np.array(powers[:k]))
+    assert vif(scaled).tobytes() == vif(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [(1e200, 1e200), (1e-200, 1.0)],
+    ids=["norms-would-overflow", "squares-would-underflow"],
+)
+def test_vif_depends_on_shape_not_units_at_extreme_scales(scales):
+    a = philox(214).uniform(size=50)
+    b = philox(214, 1).uniform(size=50)
+    base = vif(np.column_stack([a, b]))
+    np.testing.assert_allclose(base, [1.0007431324827267, 1.0007431324827265], rtol=1e-15)
+    extreme = vif(np.column_stack([a * scales[0], b * scales[1]]))
+    np.testing.assert_allclose(extreme, base, rtol=1e-14)
+
+
+def test_numpy_and_scipy_raise_one_linalg_error_class():
+    # vif catches np.linalg.LinAlgError around scipy's Cholesky, and imports
+    # scipy only when it gets there.
+    import scipy.linalg
+
+    assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cho_factor(np.zeros((2, 2)), lower=False, check_finite=False)
+
+
 # ---------------------------------------------------------------------------
 # p_value_two_sided
 # ---------------------------------------------------------------------------
