@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DictionaryTooLarge, DomainViolation, EmptyMatrix, LengthMismatch, NonFinite
-from .gram import _U, _gamma
+from .gram import _U, _gamma, _row_pass
 from .stats import center
 
 # Entries with magnitude at or below this count as zero for admissibility.
@@ -38,8 +38,8 @@ LOG = "log"
 DEFAULT_TERM_BUDGET = 200_000
 
 # Term rows are formed, centered and dotted this many at a time, in key
-# order.  On a 21,560-term dictionary, 16-row blocks made the whole fit about
-# 5% slower (the per-block array calls) and 256-row blocks built 20% slower.
+# order.  Whole fits took longer than at 32 with 16-row blocks (21,560 terms,
+# 19 of 20 rounds) and with 64-row blocks (n = 2000, 20 of 20 rounds).
 _BLOCK_ROWS = 32
 
 # Centered-row norms outside [_TINY, _HUGE] may have over- or underflowed in
@@ -410,7 +410,7 @@ def _centered_dots(blocks, count: int, yc: np.ndarray):
     means = np.empty(count)
     squares = np.empty(count)
     products = np.empty(count)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _row_pass():  # the blocks are formed inside it too
         for start, block in blocks:
             stop = start + len(block)
             # block.mean(axis=1) and block - mean, in place, with their bits.

@@ -24,6 +24,7 @@ at most ``_BATCH`` subsets per size.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,6 +102,20 @@ def _gamma(m: float) -> float:
     return m * _U / (1.0 - m * _U)
 
 
+@contextmanager
+def _row_pass():
+    """numpy's smallest ufunc buffer, and over/invalid ignored, for a pass over
+    row blocks: a ufunc broadcasting a value per row then copies nothing through
+    the buffer, and row reductions, kept contiguous and uncast, take no buffer.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.setbufsize(16)
+        try:
+            yield
+        finally:
+            np.setbufsize(size)  # numpy 1.x's errstate keeps the buffer size
+
+
 def _rank_floor(n: int, k: int) -> float:
     """The certificate's floor on sigma_min(X)^2 / top for k predictors."""
     backward = _gamma(_QR_BACKWARD * n * (k + 1)) * math.sqrt(k + 1)
@@ -173,8 +188,9 @@ class GramScorer:
             s = np.where(usable, s, 1.0)
             # The standardized rows, formed once; rows of C are their products.
             self.z = np.empty((len(zr), n))
-            for index, block in zr.blocks():
-                self.z[index] = (block - mean[index, None]) / s[index, None]
+            with _row_pass():
+                for index, block in zr.blocks():
+                    self.z[index] = (block - mean[index, None]) / s[index, None]
         self.z[~usable] = 0.0
         self.usable = usable
         self.mean = np.where(usable, mean, 0.0)

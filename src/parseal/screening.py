@@ -31,7 +31,7 @@ import numpy as np
 
 from .dictionary import _HUGE, _TINY, Dictionary
 from .errors import AllColumnsDropped, LengthMismatch, ZeroVariance
-from .gram import _U, _gamma
+from .gram import _U, _gamma, _row_pass
 from .stats import CenteredColumn, center, pearson_correlation
 
 
@@ -198,7 +198,6 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> RedundancyResult:
     """Greedy pairwise-redundancy sweep at independence limit ``varsigma``.
 
@@ -227,43 +226,43 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     losers, winners, drop_corrs = [], [], []
     correlations = len(z1)
     referee_calls = 0
-    for index, block in z1.subset(order).blocks():
-        swept = order[index].tolist()
-        t = len(kept)
-        # The block's rows, centered with center's bits, go after the kept ones.
-        kept_rows.resize((t + len(block), z1.n), refcheck=False)
-        np.subtract(block, means[swept][:, None], out=kept_rows[t:])
-        # |corr| of each candidate with every kept row and every row of its
-        # block, from one stacked matrix-vector product.  A GEMM saved 4 ms a
-        # fit but woke BLAS threads that slowed the fits after it (2-vCPU VM).
-        scores = np.abs(kept_rows[t:, None] @ kept_rows.T)[:, 0]
-        scores /= fast_norms[swept][:, None] * fast_norms[kept + swept]
-        # Uncertified pairs: a candidate's with earlier rows, in order, and in-block.
-        rows, positions = np.nonzero(~(scores[:, :t] < limit))
-        ends = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-        positions = positions.tolist()
-        near = (~(scores[:, t:] < limit)).tolist()
-        here = []  # the block's rows kept so far
-        for j, i in enumerate(swept):
-            suspects = positions[ends[j]:ends[j + 1]]
-            suspects += [t + q for q, h in enumerate(here) if near[j][h]]
-            for position in suspects:
-                referee_calls += 1
-                r = abs(pearson_correlation(
-                    CenteredColumn(kept_rows[t + j], norms[i]),
-                    CenteredColumn(kept_rows[position], norms[kept[position]]),
-                ))
-                if r > varsigma:
-                    correlations += position + 1
-                    losers.append(keys[i])
-                    winners.append(keys[kept[position]])
-                    drop_corrs.append(r)
-                    break
-            else:
-                correlations += len(kept)
-                kept_rows[len(kept)] = kept_rows[t + j]  # no later candidate's row
-                kept.append(i)
-                here.append(j)
+    with _row_pass():
+        for index, block in z1.subset(order).blocks():
+            swept = order[index].tolist()
+            t = len(kept)
+            # The block's rows, centered with center's bits, go after the kept ones.
+            kept_rows.resize((t + len(block), z1.n), refcheck=False)
+            np.subtract(block, means[swept][:, None], out=kept_rows[t:])
+            # |corr| of each candidate with every kept row and every row of its
+            # block, from one stacked matrix-vector product; ROADMAP item 3 says why no GEMM.
+            scores = np.abs(kept_rows[t:, None] @ kept_rows.T)[:, 0]
+            scores /= fast_norms[swept][:, None] * fast_norms[kept + swept]
+            # Uncertified pairs: a candidate's with earlier rows, in order, and in-block.
+            rows, positions = np.nonzero(~(scores[:, :t] < limit))
+            ends = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+            positions = positions.tolist()
+            near = (~(scores[:, t:] < limit)).tolist()
+            here = []  # the block's rows kept so far
+            for j, i in enumerate(swept):
+                suspects = positions[ends[j]:ends[j + 1]]
+                suspects += [t + q for q, h in enumerate(here) if near[j][h]]
+                for position in suspects:
+                    referee_calls += 1
+                    r = abs(pearson_correlation(
+                        CenteredColumn(kept_rows[t + j], norms[i]),
+                        CenteredColumn(kept_rows[position], norms[kept[position]]),
+                    ))
+                    if r > varsigma:
+                        correlations += position + 1
+                        losers.append(keys[i])
+                        winners.append(keys[kept[position]])
+                        drop_corrs.append(r)
+                        break
+                else:
+                    correlations += len(kept)
+                    kept_rows[len(kept)] = kept_rows[t + j]  # no later candidate's row
+                    kept.append(i)
+                    here.append(j)
     return RedundancyResult(
         dictionary=z1.subset(sorted(kept)),
         dropped=Records(("term", "winner", "abs_corr"), losers, winners, drop_corrs),

@@ -921,6 +921,70 @@ def test_batched_ddots_match_the_per_row_ddots(kinds, n, seed):
     assert _same_bits(centered.ravel(), expected.ravel())
 
 
+def _one_d_centered_dots(rows, yc):
+    """Each row's mean, square and response product the 1-d way, one row at a
+    time and outside any row-pass scope: ``row.mean()``, ``row - mean``, then
+    the two ``ndarray.dot``s."""
+    out = np.empty((3, len(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(rows):
+            mean = row.mean()
+            centered = row - mean
+            out[:, i] = mean, centered.dot(centered), centered.dot(yc)
+    return out
+
+
+def _hazard_rows(rng, n):
+    """Rows of ordinary, tiny and huge magnitude, and rows that mix them with
+    both signs."""
+    values = rng.standard_normal((6, n))
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    mixed = np.where(rng.random(n) < 0.5, 1e-300, 1e300) * values[5]
+    return np.stack([
+        values[0],
+        values[1] * 1e-300,  # squares underflow
+        np.ldexp(values[2], int(math.log2(dictionary._TINY))),
+        values[3] * 1e300,  # squares overflow
+        signs * 1.7e308,  # the row sum cancels term by term, or overflows
+        signs * 1e300 + values[4] * 1e290,
+        1e12 + values[4] * 1e-3,  # centering cancels all but a few bits
+        mixed,  # tiny and huge entries of both signs in one row
+        -mixed[::-1],
+    ])
+
+
+@pytest.mark.parametrize("n", [3, 15, 16, 17, 1000, 8191, 8192, 8193, 20000])
+def test_the_row_pass_keeps_the_bits_of_one_d_rows(n):
+    # The pass runs under numpy's smallest ufunc buffer; every mean, square
+    # and product must keep the bits of the plain 1-d ops on each row, whether
+    # the rows come in blocks or from the build's prefix multiply.
+    rng = np.random.Generator(np.random.Philox(key=n))
+    rows = _hazard_rows(rng, n)
+    yc = rng.standard_normal(n) * 1e3
+    yc -= yc.mean()
+    want = _one_d_centered_dots(rows, yc)
+    for size in (1, 4, len(rows)):
+        blocks = [(a, rows[a:a + size].copy()) for a in range(0, len(rows), size)]
+        got = dictionary._centered_dots(iter(blocks), len(rows), yc)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+    # Each row times each of three last factor rows, prefix-major, as the
+    # build forms its terms, against the same products taken one 1-d row at
+    # a time.
+    factor_rows = np.concatenate([rows, rng.standard_normal((3, n)) * [[1e-200], [1.0], [1e200]]])
+    last = np.arange(len(rows), len(factor_rows))
+    runs = [(np.arange(len(rows))[:, None], last)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [factor_rows[p] * factor_rows[q] for p in range(len(rows)) for q in last]
+    want = _one_d_centered_dots(products, yc)
+    for block_rows in (1, 7, 32):
+        with mock.patch.object(dictionary, "_BLOCK_ROWS", block_rows):
+            blocks = dictionary._prefix_blocks(factor_rows, runs)
+            got = dictionary._centered_dots(blocks, len(products), yc)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+
 def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
     from parseal import SelectionConfig, pipeline, run_pipeline
 

@@ -21,8 +21,11 @@ from parseal import (
     Dictionary,
     Factor,
     ImportanceRule,
+    SelectionConfig,
     TermExpr,
+    best_subset_search,
     build_dictionary,
+    greedy_forward_search,
     importance_filter,
     redundancy_filter,
     screen,
@@ -717,6 +720,76 @@ def test_the_sweep_decides_alike_at_every_block_size(make, varsigma):
     for block_rows in (1, 7):
         with mock.patch.object(dictionary, "_BLOCK_ROWS", block_rows):
             assert _sweep_outcome(z, ds.response, varsigma) == expected
+
+
+def _whole_sweep(z, y, varsigma):
+    """Every field of a ``RedundancyResult``, with the kept view's keys and
+    carried statistics and each drop's |corr| as bits."""
+    result = redundancy_filter(z, y, varsigma)
+    kept = result.dictionary
+    drops = [(d["term"], d["winner"], d["abs_corr"].hex()) for d in result.dropped]
+    dots = [a.tobytes() for a in kept._dots]
+    return kept.keys(), dots, drops, result.correlations, result.referee_calls
+
+
+@pytest.mark.parametrize("make,n,varsigma", [(synth_example1, 120, 0.5), (synth_example2, 1000, 0.8)])
+def test_the_sweep_decides_alike_without_the_row_pass_scope(make, n, varsigma):
+    ds = make(n, seed=13)
+    everything = ImportanceRule("absolute", 0.0)
+    z = importance_filter(build_dictionary(ds, 2, 3), ds.response, everything).dictionary
+    plain = lambda: np.errstate(over="ignore", invalid="ignore")  # the default buffer
+    for block_rows in (1, 7, 32):
+        with mock.patch.object(dictionary, "_BLOCK_ROWS", block_rows):
+            scoped = _whole_sweep(z, ds.response, varsigma)
+            with mock.patch.object(screening, "_row_pass", plain):
+                assert _whole_sweep(z, ds.response, varsigma) == scoped
+        assert len(scoped[0]) > 7 and len(scoped[2]) > 7
+
+
+def _numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+@pytest.fixture
+def outer_state():
+    """A buffer size and error settings of the caller's own, which no row pass
+    may leave changed."""
+    with np.errstate(divide="ignore"):
+        size = np.setbufsize(4096)
+        try:
+            yield _numpy_state()
+        finally:
+            np.setbufsize(size)
+
+
+def test_the_row_passes_restore_numpy_state(outer_state):
+    ds = synth_example1(200, seed=5)
+    z = build_dictionary(ds, alpha=2, mixture=2)
+    assert _numpy_state() == outer_state
+    zr, _ = screen(z, ds.response, ImportanceRule(), 0.5)
+    assert _numpy_state() == outer_state
+    for search in (best_subset_search, greedy_forward_search):
+        search(zr, ds.response, SelectionConfig(max_subset_size=3))
+        assert _numpy_state() == outer_state
+
+
+def test_the_row_passes_restore_numpy_state_when_they_raise(outer_state):
+    # A non-finite term: a^2 overflows.
+    columns = np.column_stack([[1.5, 2.0, 4.0], [1e160, 2e160, 3e160]])
+    with pytest.raises(DomainViolation):
+        build_dictionary(_dataset(columns, ("b", "a")), alpha=2, mixture=2)
+    assert _numpy_state() == outer_state
+    # A constant column reaches the sweep's referee, which raises inside the pass.
+    rng = philox(88)
+    x = np.column_stack([rng.normal(size=50), np.ones(50)])
+    with pytest.raises(ZeroVariance):
+        redundancy_filter(raw_dictionary(x), rng.normal(size=50), 0.9)
+    assert _numpy_state() == outer_state
+    with pytest.raises(KeyError):
+        with screening._row_pass():
+            assert np.getbufsize() == 16
+            raise KeyError
+    assert _numpy_state() == outer_state
 
 
 def test_the_sweep_holds_only_the_kept_rows_and_two_blocks():
