@@ -410,11 +410,13 @@ def _centered_dots(blocks, count: int, yc: np.ndarray):
     means = np.empty(count)
     squares = np.empty(count)
     products = np.empty(count)
-    with _row_pass():  # the blocks are formed inside it too
+    with _row_pass() as size:  # the blocks are formed inside it too
         for start, block in blocks:
             stop = start + len(block)
-            # block.mean(axis=1) and block - mean, in place, with their bits.
+            # block.mean(axis=1) at the caller's buffer, and block - mean in place.
+            small = np.setbufsize(size)
             means[start:stop] = np.add.reduce(block, 1) / block.shape[1]
+            np.setbufsize(small)
             np.subtract(block, means[start:stop, None], out=block)
             squares[start:stop] = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
             products[start:stop] = (block[:, None, :] @ yc[:, None])[:, 0, 0]

@@ -104,14 +104,13 @@ def _gamma(m: float) -> float:
 
 @contextmanager
 def _row_pass():
-    """numpy's smallest ufunc buffer, and over/invalid ignored, for a pass over
-    row blocks: a ufunc broadcasting a value per row then copies nothing through
-    the buffer, and row reductions, kept contiguous and uncast, take no buffer.
-    """
+    """numpy's smallest ufunc buffer, and over/invalid ignored, for a pass over row
+    blocks: a per-row broadcast then copies nothing through it.  Yields the caller's
+    size, for reductions: before numpy 2.3 their pairwise sums stop at the buffer."""
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.setbufsize(16)
         try:
-            yield
+            yield size
         finally:
             np.setbufsize(size)  # numpy 1.x's errstate keeps the buffer size
 
@@ -181,16 +180,15 @@ class GramScorer:
     def __init__(self, zr, y: np.ndarray, vif_cap: float, tss: float):
         n = self.n = zr.n
         mean, s, products = zr.row_statistics(y)
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _row_pass():
             # ||x||^2 = s^2 + n m^2; it only scales the rounding bounds.
             sq_norm = s * s + n * mean * mean
             usable = np.isfinite(sq_norm) & (s > 0.0)
             s = np.where(usable, s, 1.0)
             # The standardized rows, formed once; rows of C are their products.
             self.z = np.empty((len(zr), n))
-            with _row_pass():
-                for index, block in zr.blocks():
-                    self.z[index] = (block - mean[index, None]) / s[index, None]
+            for index, block in zr.blocks():
+                self.z[index] = (block - mean[index, None]) / s[index, None]
         self.z[~usable] = 0.0
         self.usable = usable
         self.mean = np.where(usable, mean, 0.0)

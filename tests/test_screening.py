@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -790,6 +791,27 @@ def test_the_row_passes_restore_numpy_state_when_they_raise(outer_state):
             assert np.getbufsize() == 16
             raise KeyError
     assert _numpy_state() == outer_state
+
+
+def test_the_row_pass_sums_its_rows_at_the_callers_buffer_size(outer_state):
+    # numpy before 2.3 stops a reduction's pairwise sum at the buffer size, so
+    # the row means of the build pass and of the row_statistics fallback must
+    # not be summed at the row pass's 16 elements.
+    sizes = []
+
+    class Numpy:  # dictionary's numpy, with an add.reduce that notes the buffer size
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        add = SimpleNamespace(reduce=lambda *a: sizes.append(np.getbufsize()) or np.add.reduce(*a))
+
+    ds = synth_example1(200, seed=5)
+    with mock.patch.object(dictionary, "np", Numpy()):
+        z = build_dictionary(ds, alpha=2, mixture=2)
+        built = len(sizes)
+        z.row_statistics(ds.response[::-1].copy())
+    assert 0 < built < len(sizes)
+    assert set(sizes) == {outer_state[0]}
 
 
 def test_the_sweep_holds_only_the_kept_rows_and_two_blocks():
