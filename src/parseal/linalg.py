@@ -4,17 +4,22 @@ The solver never forms normal equations: conditioning stays at kappa(X)
 instead of kappa(X)^2, and the pivoted R factor doubles as a cheap,
 deterministic rank detector.
 
-Here and in ``stats``, scipy is imported inside the functions that call it,
-at the first factorization, not at import time.  Building and screening the
-dictionary need only numpy; ``import scipy.linalg`` costs most of a fresh
-``import parseal``, so commands that never fit (``--help``, ``synth``,
-``dict``, a rejected input) do not pay for it.  Later calls find the module
-in ``sys.modules``.
+Here and in ``stats``, LAPACK comes from scipy's wrapper module
+``scipy.linalg._flapack``, loaded at the first factorization with only the
+bare ``scipy`` package (``_lapack``): ``import scipy.linalg`` would add about
+330 modules, 28 MB of RSS and a third of a second.  Each call site makes the
+calls, workspace queries and checks of the scipy.linalg function it names, so
+the bits and errors are scipy's; tests/test_linalg.py holds those as oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
+from importlib import import_module
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -22,6 +27,51 @@ from .errors import EmptyMatrix, NonFinite
 
 # Relative threshold on the pivoted R diagonal used for rank detection.
 RANK_TOL = 1e-10
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg._flapack``, loaded with the ``scipy`` package alone.
+
+    CPython files the extension in ``sys.modules``; taken out again, a later
+    ``import scipy.linalg`` loads it as usual and gets the same routines.
+    Without the file (an editable scipy, say) it is imported.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = PathFinder.find_spec(name, find_spec("scipy.linalg").submodule_search_locations)
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        return import_module(name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+def _call(routine, *args, query=False, **kwargs):
+    """Call a LAPACK routine; ``info < 0`` (an illegal argument) raises ValueError.
+
+    ``query`` first asks for the optimal ``lwork``, as scipy's ``safecall``
+    does: the workspace sets the blocking, and so the bits.
+    """
+    if query:
+        kwargs["lwork"] = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    out = routine(*args, **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal value in argument {-out[-1]} of a LAPACK call")
+    return out
+
+
+def _solve_upper(r, b, check_finite=True):
+    """``scipy.linalg.solve_triangular(r, b, check_finite=check_finite)``: dtrtrs."""
+    if check_finite:
+        r, b = np.asarray_chkfinite(r), np.asarray_chkfinite(b)
+    r, lower, trans = (r, False, 0) if r.flags.f_contiguous else (r.T, True, 1)
+    x, info = _call(_lapack().dtrtrs, r, b, lower=lower, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -87,9 +137,12 @@ class QRFactorization:
 
 def qr_factorize(x: DesignMatrix) -> QRFactorization:
     """Column-pivoted economic QR with a relative-diagonal rank estimate."""
-    import scipy.linalg
-
-    q, r, pivot = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
+    # scipy.linalg.qr(mode="economic", pivoting=True): dgeqp3, then dorgqr.
+    a = np.asarray_chkfinite(x.values)
+    qr, pivot, tau, _, _ = _call(_lapack().dgeqp3, a, query=True)
+    pivot -= 1
+    r = np.triu(qr[: a.shape[1]])
+    q = _call(_lapack().dorgqr, qr[:, : a.shape[0]], tau, overwrite_a=1, query=True)[0]
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         rank = 0
@@ -104,11 +157,9 @@ def _solve_from_factorization(fact: QRFactorization, x: DesignMatrix, y: np.ndar
     Returns the coefficients, in the design's column order, and the residual
     vector ``y - X b``.
     """
-    import scipy.linalg
-
     k = x.k
     rhs = fact.q.T @ y
-    beta_pivoted = scipy.linalg.solve_triangular(fact.r[:k, :k], rhs[:k])
+    beta_pivoted = _solve_upper(fact.r[:k, :k], rhs[:k])
     coefficients = np.empty(k)
     coefficients[fact.pivot] = beta_pivoted
     return coefficients, y - x.values @ coefficients

@@ -248,10 +248,13 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
                 suspects += [t + q for q, h in enumerate(here) if near[j][h]]
                 for position in suspects:
                     referee_calls += 1
-                    r = abs(pearson_correlation(
-                        CenteredColumn(kept_rows[t + j], norms[i]),
-                        CenteredColumn(kept_rows[position], norms[kept[position]]),
-                    ))
+                    try:
+                        r = abs(pearson_correlation(
+                            CenteredColumn(kept_rows[t + j], norms[i]),
+                            CenteredColumn(kept_rows[position], norms[kept[position]]),
+                        ))
+                    except ZeroVariance:  # undefined: eliminates nothing
+                        continue
                     if r > varsigma:
                         correlations += position + 1
                         losers.append(keys[i])

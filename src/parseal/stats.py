@@ -17,7 +17,7 @@ from .errors import (
     RankDeficient,
     ZeroVariance,
 )
-from .linalg import DesignMatrix, _solve_from_factorization, qr_factorize
+from .linalg import DesignMatrix, _call, _lapack, _solve_from_factorization, _solve_upper, qr_factorize
 
 # An auxiliary regression with R^2 at or above this level is treated as
 # perfectly collinear (VIF >= 1e12).
@@ -162,15 +162,13 @@ def vif(columns) -> np.ndarray:
         raise ZeroVariance("vif is undefined for a constant column")
     scaled = centered / norms
     corr = scaled.T @ scaled
-    import scipy.linalg
-
-    try:
-        cho = scipy.linalg.cho_factor(corr, lower=False, check_finite=False)
-        inv = scipy.linalg.cho_solve(cho, np.eye(k), check_finite=False)
-    except np.linalg.LinAlgError:  # the class scipy.linalg raises
+    # cho_factor and cho_solve, finiteness unchecked; info > 0 is cho_factor's LinAlgError.
+    cho, info = _call(_lapack().dpotrf, corr, lower=False, clean=False)
+    if info > 0:
         raise PerfectCollinearity(
             "predictor correlation matrix is singular (exactly collinear columns)"
-        ) from None
+        )
+    inv = _call(_lapack().dpotrs, cho, np.eye(k), lower=False)[0]
     factors = np.diag(inv).copy()
     worst = int(np.argmax(factors))
     if factors[worst] * (1.0 - _COLLINEARITY_R2) >= 1.0:
@@ -323,11 +321,7 @@ def ols_fit(x: DesignMatrix, y, term_labels=None) -> ModelFit:
     sigma2 = rss / dof
 
     # diag((X^T X)^{-1}) from the triangular factor: X^T X = P R^T R P^T.
-    import scipy.linalg
-
-    r_inv = scipy.linalg.solve_triangular(
-        fact.r[:k_plus_1, :k_plus_1], np.eye(k_plus_1), check_finite=False
-    )
+    r_inv = _solve_upper(fact.r[:k_plus_1, :k_plus_1], np.eye(k_plus_1), check_finite=False)
     diag_pivoted = np.sum(r_inv * r_inv, axis=1)
     diag = np.empty(k_plus_1)
     diag[fact.pivot] = diag_pivoted

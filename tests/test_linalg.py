@@ -1,11 +1,25 @@
 """QR factorization, rank detection, and the least-squares solve behind ``ols_fit``."""
 
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parseal import DesignMatrix, ols_fit, qr_factorize
-from parseal.errors import EmptyMatrix, LengthMismatch, NonFinite, RankDeficient
-from parseal.linalg import _solve_from_factorization
+from parseal import DesignMatrix, ModelFit, ols_fit, qr_factorize, stats, vif
+from parseal.errors import (
+    EmptyMatrix,
+    LengthMismatch,
+    NonFinite,
+    PerfectCollinearity,
+    RankDeficient,
+    ZeroVariance,
+)
+from parseal.linalg import RANK_TOL, QRFactorization, _solve_from_factorization
 
 
 def philox(seed, stream=0):
@@ -142,3 +156,141 @@ def test_rank_detection_sweep_against_constructed_deficiency():
         right = rng.normal(size=(r, k))
         fact = qr_factorize(DesignMatrix(left @ right))
         assert fact.rank == r
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK calls against scipy.linalg's wrappers
+# ---------------------------------------------------------------------------
+
+
+def _scipy_qr_factorize(x):
+    """``qr_factorize`` through ``scipy.linalg.qr``, with the same rank rule."""
+    q, r, pivot = scipy.linalg.qr(x.values, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = 0 if diag[0] == 0.0 else int(np.count_nonzero(diag > RANK_TOL * diag[0]))
+    return QRFactorization(q=q, r=r, pivot=pivot, rank=rank)
+
+
+def _scipy_vif(columns):
+    """``vif``'s arithmetic with scipy.linalg's ``cho_factor`` and ``cho_solve``."""
+    x = np.asarray(columns, dtype=np.float64)
+    k = x.shape[1]
+    if k == 1:
+        return np.array([1.0])
+    _, exponents = np.frexp(np.max(np.abs(x), axis=0))
+    x = np.ldexp(x, -exponents)
+    centered = x - x.mean(axis=0)
+    norms = np.sqrt(np.sum(centered * centered, axis=0))
+    if np.any(norms == 0.0):
+        raise ZeroVariance("vif is undefined for a constant column")
+    scaled = centered / norms
+    try:
+        cho = scipy.linalg.cho_factor(scaled.T @ scaled, lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise PerfectCollinearity(
+            "predictor correlation matrix is singular (exactly collinear columns)"
+        ) from None
+    factors = np.diag(scipy.linalg.cho_solve(cho, np.eye(k), check_finite=False)).copy()
+    worst = int(np.argmax(factors))
+    if factors[worst] * (1.0 - stats._COLLINEARITY_R2) >= 1.0:
+        raise PerfectCollinearity(
+            f"auxiliary regression for column {worst} has R^2 >= 1 - 1e-12 "
+            f"(vif {factors[worst]:.3g})"
+        )
+    return factors
+
+
+def _outcome(call, *args):
+    """Every array a call returns, as bytes, or the class and text of its error."""
+    try:
+        value = call(*args)
+    except Exception as error:  # the oracle must fail the same way
+        return type(error), str(error)
+    if isinstance(value, ModelFit):
+        value = (value.coefficients, value.std_errors, value.vifs, value.residuals)
+    elif isinstance(value, QRFactorization):
+        value = (value.q, value.r, value.pivot, np.array(value.rank))
+    values = value if isinstance(value, tuple) else (value,)
+    return [(v.dtype.str, v.shape, v.tobytes()) for v in values]
+
+
+@st.composite
+def _designs(draw):
+    """A predictor matrix with k in 1..10 and n in k + 2..2000, and a response.
+
+    Columns may sit at 1e+-200; up to two of them are defects: an exact copy,
+    multiple or sum of other columns, a constant or a zero.
+    """
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k + 2, 2000))
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from([1.0] * 8 + [1e200, 1e-200]), min_size=k, max_size=k))
+    x = rng.normal(size=(n, k)) * scales
+    defects = ["copy", "multiple", "sum", "constant", "zero"]
+    for defect in draw(st.lists(st.sampled_from(defects), max_size=2)):
+        j, i, h = (draw(st.integers(0, k - 1)) for _ in range(3))
+        x[:, j] = {
+            "copy": x[:, i],
+            "multiple": -2.0 * x[:, i],
+            "sum": x[:, i] + x[:, h],
+            "constant": 3.0,
+            "zero": 0.0,
+        }[defect]
+    return x, rng.normal(size=n)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_designs())
+@np.errstate(all="ignore")  # at 1e+-200 a standard error may overflow, alike on both routes
+def test_the_lapack_calls_keep_the_bits_and_errors_of_scipy_linalg(case):
+    x, y = case
+    for design in (DesignMatrix(x), DesignMatrix.with_intercept(x)):
+        fact = qr_factorize(design)
+        assert _outcome(qr_factorize, design) == _outcome(_scipy_qr_factorize, design)
+        # The callers check the rank first; the gate also takes the
+        # rank-deficient factors, whose exact zeros reach dtrtrs's error.
+        ours = _outcome(_solve_from_factorization, fact, design, y)
+        with mock.patch("parseal.linalg._solve_upper", scipy.linalg.solve_triangular):
+            assert ours == _outcome(_solve_from_factorization, fact, design, y)
+    assert _outcome(vif, x) == _outcome(_scipy_vif, x)
+    design = DesignMatrix.with_intercept(x)
+    ours = _outcome(ols_fit, design, y)
+    solve = scipy.linalg.solve_triangular
+    with mock.patch.multiple(
+        stats, qr_factorize=_scipy_qr_factorize, _solve_upper=solve, vif=_scipy_vif
+    ), mock.patch("parseal.linalg._solve_upper", solve):
+        assert ours == _outcome(ols_fit, design, y)
+
+
+def test_the_gate_reaches_each_error_path():
+    rng = philox(108)
+    a, b, y = rng.normal(size=(3, 30))
+    zero = DesignMatrix(np.column_stack([a, np.zeros(30)]))
+    error, message = _outcome(_solve_from_factorization, qr_factorize(zero), zero, y)
+    assert error is np.linalg.LinAlgError
+    assert message == "singular matrix: resolution failed at diagonal 1"
+    assert _outcome(ols_fit, DesignMatrix.with_intercept(np.column_stack([a, a])), y)[0] is RankDeficient
+    for columns in ([a, a], [a, -2.0 * a, b]):
+        assert _outcome(vif, np.column_stack(columns))[0] is PerfectCollinearity
+
+
+# Prints whether the routines _lapack gives are scipy.linalg.lapack's, for
+# either import order, and whether scipy.linalg ends up filed as usual.
+_ROUTINES = """
+import sys
+from parseal.linalg import _lapack
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+lapack = _lapack()
+import scipy.linalg
+names = ("dgeqp3", "dorgqr", "dtrtrs", "dpotrf", "dpotrs")
+print(all(getattr(lapack, n) is getattr(scipy.linalg.lapack, n) for n in names),
+      scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"])
+"""
+
+
+@pytest.mark.parametrize("order", ["scipy-first", "loader-first"])
+def test_the_loader_gives_scipy_linalgs_own_routines(order):
+    run = subprocess.run([sys.executable, "-c", _ROUTINES, order], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "True"]

@@ -671,6 +671,37 @@ def test_only_a_least_squares_call_imports_scipy(argv, code, loads_scipy, exampl
     assert run.stdout.splitlines()[-1] == f"{code} {loads_scipy}"
 
 
+# Runs a fit in a fresh interpreter, through the plain import of scipy's LAPACK
+# module when its first argument is "fallback", and prints the exit code and
+# whether scipy.linalg was imported.
+_FIT_FOOTPRINT = """
+import sys
+from unittest import mock
+import parseal.linalg
+from parseal.cli import main
+finder = mock.Mock(**{"find_spec.return_value": None})
+with mock.patch.object(parseal.linalg, "PathFinder", finder if sys.argv[1] == "fallback" else parseal.linalg.PathFinder):
+    code = main(sys.argv[2:])
+print(code, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_a_fit_never_imports_scipy_linalg_and_the_fallback_writes_the_same_bytes(example1_csv, tmp_path):
+    outputs = {}
+    for route, loads_scipy_linalg in (("direct", "False"), ("fallback", "True")):
+        out = tmp_path / route
+        argv = ["fit", "--input", str(example1_csv), "--response", "y", "--baseline"]
+        argv += ["--stable-output", "--out-dir", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-c", _FIT_FOOTPRINT, route, *argv], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"0 {loads_scipy_linalg}"
+        outputs[route] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["direct"]) == 5
+    assert outputs["direct"] == outputs["fallback"]
+
+
 def test_cli_unknown_flag_exits_one(example1_csv):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", str(example1_csv), "--response", "y", "--frobnicate"])

@@ -509,6 +509,17 @@ def test_undefined_pairwise_correlation_eliminates_nothing():
     assert len(result.dictionary) == 2
 
 
+def test_a_zero_variance_row_eliminates_nothing_in_the_sweep():
+    # importance drops such a row first, so only a direct sweep meets it: the
+    # referee's ZeroVariance is an undefined correlation, not an error.
+    rng = philox(88)
+    x = np.column_stack([rng.normal(size=50), np.ones(50)])
+    result = redundancy_filter(raw_dictionary(x), rng.normal(size=50), 0.9)
+    assert len(result.dropped) == 0
+    assert result.dictionary.keys() == raw_dictionary(x).keys()
+    assert result.referee_calls == 1
+
+
 def _screens_like_the_per_pair_loops(x, y, rule, varsigma):
     """Screen raw columns and assert the per-pair loops' outcome, bits and
     correlation count; returns the report, or None if every column dropped."""
@@ -780,11 +791,13 @@ def test_the_row_passes_restore_numpy_state_when_they_raise(outer_state):
     with pytest.raises(DomainViolation):
         build_dictionary(_dataset(columns, ("b", "a")), alpha=2, mixture=2)
     assert _numpy_state() == outer_state
-    # A constant column reaches the sweep's referee, which raises inside the pass.
+    # A near-twin pair reaches the sweep's referee, which raises inside the pass.
     rng = philox(88)
-    x = np.column_stack([rng.normal(size=50), np.ones(50)])
-    with pytest.raises(ZeroVariance):
-        redundancy_filter(raw_dictionary(x), rng.normal(size=50), 0.9)
+    a = rng.normal(size=50)
+    x = np.column_stack([a, a + 1e-3 * rng.normal(size=50)])
+    with mock.patch.object(screening, "pearson_correlation", side_effect=ArithmeticError):
+        with pytest.raises(ArithmeticError):
+            redundancy_filter(raw_dictionary(x), rng.normal(size=50), 0.9)
     assert _numpy_state() == outer_state
     with pytest.raises(KeyError):
         with screening._row_pass():

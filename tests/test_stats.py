@@ -391,8 +391,9 @@ def test_vif_depends_on_shape_not_units_at_extreme_scales(scales):
 
 
 def test_numpy_and_scipy_raise_one_linalg_error_class():
-    # vif catches np.linalg.LinAlgError around scipy's Cholesky, and imports
-    # scipy only when it gets there.
+    # linalg._solve_upper raises np.linalg.LinAlgError where
+    # scipy.linalg.solve_triangular raises its own LinAlgError: one class, so
+    # a caller, and the bit gate in test_linalg.py, sees the same error.
     import scipy.linalg
 
     assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
