@@ -8,6 +8,7 @@ feasibility checks reject the run.  Flags may also be given in a flat
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -27,29 +28,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_CONFIG_TYPES = {
-    "input": str,
-    "response": str,
-    "alpha": int,
-    "mixture": int,
-    "delta": float,
-    "delta-mode": str,
-    "varsigma": float,
-    "vif-cap": float,
-    "max-terms": int,
-    "search": str,
-    "baseline": bool,
-    "seed": int,
-    "out-dir": str,
-    "stable-output": bool,
-}
-
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _read_config(path) -> dict:
-    """Flat key/value file mirroring the fit flags; '#' starts a comment."""
+def _read_config(path, keys: dict) -> dict:
+    """Flat key/value file mirroring the fit flags; '#' starts a comment.
+
+    ``keys`` maps each key to its fit flag's Action; the values come back by
+    the Action's ``dest``, read by its ``type`` (a switch takes true/false).
+    """
     values = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -61,20 +49,20 @@ def _read_config(path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = _CONFIG_TYPES[key]
-            if caster is bool:
+            action = keys[key]
+            if action.nargs == 0:  # a switch
                 lowered = value.lower()
                 if lowered in _TRUE_WORDS:
-                    values[key] = True
+                    values[action.dest] = True
                 elif lowered in _FALSE_WORDS:
-                    values[key] = False
+                    values[action.dest] = False
                 else:
                     raise ValueError(f"{path}:{lineno}: {key!r} wants true/false, got {value!r}")
             else:
                 try:
-                    values[key] = caster(value)
+                    values[action.dest] = (action.type or str)(value)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: cannot parse {value!r} for key {key!r}"
@@ -89,43 +77,39 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"parseal {TOOL_VERSION}")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # Every fit flag but --config is also a config-file key, spelled without
+    # its dashes.  A flag that sets an ImportanceRule or SelectionConfig field
+    # takes the field's name as its dest, and a metavar named after the flag.
     fit = commands.add_parser("fit", help="run the full selection pipeline on a CSV")
     fit.add_argument("--config", default=None, help="flat key=value file mirroring these flags")
-    fit.add_argument("--input", default=None, help="input CSV path")
-    fit.add_argument("--response", default=None, help="name of the response column")
-    fit.add_argument("--alpha", type=int, default=None,
-                     help=f"largest absolute exponent (default {defaults.alpha})")
-    fit.add_argument("--mixture", type=int, default=None,
-                     help=f"max distinct variables per term (default {defaults.mixture_m})")
-    fit.add_argument("--delta", type=float, default=None,
-                     help=f"importance limit (default {defaults.importance.value})")
-    fit.add_argument(
-        "--delta-mode",
-        choices=["absolute", "relative"],
-        default=None,
-        help="interpret --delta as-is or relative to the best column "
-        f"(default {defaults.importance.mode})",
-    )
-    fit.add_argument("--varsigma", type=float, default=None,
-                     help=f"independence limit (default {defaults.varsigma})")
-    fit.add_argument("--vif-cap", type=float, default=None,
-                     help=f"hard VIF cap (default {defaults.vif_cap:g})")
-    fit.add_argument("--max-terms", type=int, default=None,
-                     help=f"largest subset size (default {defaults.max_subset_size})")
-    fit.add_argument(
-        "--search",
-        choices=["exhaustive", "greedy_forward"],
-        default=None,
-        help=f"subset search mode (default {defaults.search_mode})",
-    )
-    fit.add_argument("--baseline", action="store_true", default=None,
-                     help="also fit the best subset of the raw columns")
-    fit.add_argument("--seed", type=int, default=None,
-                     help="echoed into the report as config.seed; nothing random uses it "
-                          f"(default {defaults.seed})")
-    fit.add_argument("--out-dir", default=None, help="directory for report and CSVs (default '.')")
-    fit.add_argument("--stable-output", action="store_true", default=None,
-                     help="omit timing so identical runs are byte-identical")
+    keys = {}
+
+    def option(flag, **kwargs):
+        keys[flag[2:]] = fit.add_argument(flag, default=None, **kwargs)
+
+    option("--input", help="input CSV path")
+    option("--response", help="name of the response column")
+    option("--alpha", type=int, help=f"largest absolute exponent (default {defaults.alpha})")
+    option("--mixture", type=int, dest="mixture_m", metavar="MIXTURE",
+           help=f"max distinct variables per term (default {defaults.mixture_m})")
+    option("--delta", type=float, dest="value", metavar="DELTA",
+           help=f"importance limit (default {defaults.importance.value})")
+    option("--delta-mode", dest="mode", choices=["absolute", "relative"],
+           help="interpret --delta as-is or relative to the best column "
+           f"(default {defaults.importance.mode})")
+    option("--varsigma", type=float, help=f"independence limit (default {defaults.varsigma})")
+    option("--vif-cap", type=float, help=f"hard VIF cap (default {defaults.vif_cap:g})")
+    option("--max-terms", type=int, dest="max_subset_size", metavar="MAX_TERMS",
+           help=f"largest subset size (default {defaults.max_subset_size})")
+    option("--search", dest="search_mode", choices=["exhaustive", "greedy_forward"],
+           help=f"subset search mode (default {defaults.search_mode})")
+    option("--baseline", action="store_true", help="also fit the best subset of the raw columns")
+    option("--seed", type=int, help="echoed into the report as config.seed; nothing random "
+           f"uses it (default {defaults.seed})")
+    option("--out-dir", help="directory for report and CSVs (default '.')")
+    option("--stable-output", action="store_true",
+           help="omit timing so identical runs are byte-identical")
+    fit.set_defaults(config_keys=keys)
 
     synth = commands.add_parser("synth", help="write one of the synthetic example datasets")
     synth.add_argument("--example", type=int, choices=[1, 2], required=True)
@@ -143,32 +127,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args, config: dict, key: str, default=None):
-    flag = getattr(args, key.replace("-", "_"))
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-# Fit flags (and config-file keys) by the ImportanceRule and SelectionConfig
-# field they set; a field no flag sets keeps its dataclass default.
-_RULE_FIELDS = {"delta-mode": "mode", "delta": "value"}
-_CONFIG_FIELDS = {
-    "alpha": "alpha",
-    "mixture": "mixture_m",
-    "varsigma": "varsigma",
-    "vif-cap": "vif_cap",
-    "max-terms": "max_subset_size",
-    "search": "search_mode",
-    "seed": "seed",
-}
-
-
-def _given(args, config: dict, flags: dict) -> dict:
-    values = {name: _resolve(args, config, key) for key, name in flags.items()}
-    return {name: value for name, value in values.items() if value is not None}
+def _fields(cls, values: dict) -> dict:
+    return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
 
 
 def _print_model(title: str, section: dict) -> None:
@@ -187,34 +147,36 @@ def _print_model(title: str, section: dict) -> None:
 
 
 def _cmd_fit(args) -> int:
-    config = {}
+    values = {}
     if args.config is not None:
         try:
-            config = _read_config(args.config)
+            values = _read_config(args.config, args.config_keys)
         except (OSError, ValueError) as err:
             print(f"parseal fit: error: {err}", file=sys.stderr)
             return 1
+    for action in args.config_keys.values():  # flags win over the file
+        if getattr(args, action.dest) is not None:
+            values[action.dest] = getattr(args, action.dest)
 
-    input_path = _resolve(args, config, "input")
-    response = _resolve(args, config, "response")
-    if input_path is None or response is None:
+    if "input" not in values or "response" not in values:
         print("parseal fit: error: --input and --response are required", file=sys.stderr)
         return 1
 
     try:
-        rule = ImportanceRule(**_given(args, config, _RULE_FIELDS))
-        cfg = SelectionConfig(importance=rule, **_given(args, config, _CONFIG_FIELDS))
+        rule = ImportanceRule(**_fields(ImportanceRule, values))
+        cfg = SelectionConfig(importance=rule, **_fields(SelectionConfig, values))
     except ValueError as err:
         print(f"parseal fit: error: {err}", file=sys.stderr)
         return 1
 
-    out_dir = _resolve(args, config, "out-dir", ".")
-    with_baseline = bool(_resolve(args, config, "baseline", False))
-    stable = bool(_resolve(args, config, "stable-output", False))
-
-    dataset = load_csv(input_path, response)
+    out_dir = values.get("out_dir", ".")
+    dataset = load_csv(values["input"], values["response"])
     report = run_pipeline(
-        dataset, cfg, with_baseline=with_baseline, out_dir=out_dir, stable=stable
+        dataset,
+        cfg,
+        with_baseline=values.get("baseline", False),
+        out_dir=out_dir,
+        stable=values.get("stable_output", False),
     )
     _print_model("selected model", report.selected_model)
     if report.baseline_model is not None:

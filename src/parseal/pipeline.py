@@ -39,14 +39,17 @@ REPORT_FILE = "report.json"
 
 
 @contextmanager
-def _stage(name: str):
-    """Tag escaping errors with the pipeline stage that raised them."""
+def _stage(name: str, timing: dict):
+    """Record the stage's wall time as ``timing[name + "_s"]``; tag escaping
+    errors with the stage that raised them."""
+    start = time.perf_counter()
     try:
         yield
     except ParsealError as err:
         if err.stage is None:
             err.stage = name
         raise
+    timing[f"{name}_s"] = time.perf_counter() - start
 
 
 def _float_or_none(x) -> float | None:
@@ -333,29 +336,19 @@ def run_pipeline(
     timing = {}
 
     start = time.perf_counter()
-    with _stage("dictionary"):
+    with _stage("dictionary", timing):
         z = build_dictionary(dataset, cfg.alpha, cfg.mixture_m)
-    timing["dictionary_s"] = time.perf_counter() - start
-
-    step = time.perf_counter()
-    with _stage("screening"):
+    with _stage("screening", timing):
         zr, screening_report = screen(z, dataset.response, cfg.importance, cfg.varsigma)
-    timing["screening_s"] = time.perf_counter() - step
-
-    step = time.perf_counter()
-    with _stage("selection"):
+    with _stage("selection", timing):
         if cfg.search_mode == "greedy_forward":
             model = greedy_forward_search(zr, dataset.response, cfg)
         else:
             model = best_subset_search(zr, dataset.response, cfg)
-    timing["selection_s"] = time.perf_counter() - step
-
     baseline = None
     if with_baseline:
-        step = time.perf_counter()
-        with _stage("baseline"):
+        with _stage("baseline", timing):
             baseline = baseline_best_subset(z, dataset.response, cfg)
-        timing["baseline_s"] = time.perf_counter() - step
     timing["total_s"] = time.perf_counter() - start
 
     config_echo = {

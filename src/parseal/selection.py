@@ -174,9 +174,7 @@ class _Best:
         ``best`` is ``(combo, objective)`` for the first candidate attaining
         the largest QR objective, or None when no candidate is feasible.
         """
-        for position, combo, upper in self.contenders:
-            if upper < self.floor:
-                continue
+        for position, combo, _ in self.contenders:
             value = self.score(combo)
             if value is None:  # the QR scorer decides every candidate it sees
                 self.feasible -= 1

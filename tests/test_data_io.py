@@ -53,6 +53,10 @@ def test_dataset_validation():
         Dataset(("a", "b", "c"), good, "y", np.array([1.0, 2.0]))
     with pytest.raises(LengthMismatch):
         Dataset(("a", "b"), good, "y", y)
+    with pytest.raises(LengthMismatch, match="columns must be 2-d"):
+        Dataset(("a",), y, "y", y)
+    with pytest.raises(LengthMismatch, match="response must be 1-d"):
+        Dataset(("a", "b", "c"), good, "y", y.reshape(3, 1))
     with pytest.raises(InsufficientData):
         Dataset(("a",), np.array([[1.0], [2.0]]), "y", np.array([1.0, 2.0]))
     bad = good.copy()

@@ -76,6 +76,11 @@ def test_factor_rejects_bad_exponents():
         Factor(0, "exp", Fraction(1))
 
 
+def test_factor_rejects_a_negative_variable_index():
+    with pytest.raises(ValueError, match="variable_index must be >= 0"):
+        Factor(-1, IDENTITY, 1)
+
+
 def test_even_sqrt_powers_fold_to_integer_exponents():
     folded = Factor(0, IDENTITY, Fraction(2, 2))
     assert folded.exponent == Fraction(1)
@@ -408,6 +413,31 @@ def test_a_response_of_another_length_raises_before_any_row_is_formed(monkeypatc
     with pytest.raises(LengthMismatch) as err:
         build_dictionary(ds, alpha=2, mixture=2)
     assert str(err.value) == f"response shape ({length},) does not match 50 rows"
+
+
+def _with_an_inf_cell(columns):
+    columns = columns.copy()
+    columns[3, 1] = np.inf
+    return columns
+
+
+@pytest.mark.parametrize(
+    "columns, names, error, message",
+    [
+        (lambda c: c[:, 0], ("a",), ValueError, "need a 2-d"),
+        (_with_an_inf_cell, ("a", "b", "c"), NonFinite, "NaN or infinite"),
+        (lambda c: c[:, :2], ("a",), ValueError, "got 1 names for 2 columns"),
+    ],
+    ids=["one-d", "inf", "one-name-two-columns"],
+)
+def test_a_duck_typed_dataset_is_validated_before_any_row_is_formed(
+    monkeypatch, columns, names, error, message
+):
+    columns = columns(synth_example1(50, seed=1).columns)
+    ds = SimpleNamespace(columns=columns, variable_names=names, response=np.ones(50))
+    monkeypatch.setattr(dictionary, "_evaluate_factor", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(error, match=message):
+        build_dictionary(ds, alpha=2, mixture=2)
 
 
 def test_census_to_dict_is_json_friendly():

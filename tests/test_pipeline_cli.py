@@ -861,6 +861,72 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+# Each fit flag that shapes the report's config block, with a value other than
+# its default (None: a switch, given bare as a flag).
+_CONFIG_KEY_VALUES = {
+    "alpha": "1",
+    "mixture": "1",
+    "delta": "0.3",
+    "delta-mode": "absolute",
+    "varsigma": "0.5",
+    "vif-cap": "5",
+    "max-terms": "2",
+    "search": "greedy_forward",
+    "baseline": None,
+    "seed": "11",
+}
+
+
+def test_every_fit_flag_but_config_is_a_config_key():
+    from parseal import cli
+
+    keys = cli._build_parser().parse_args(["fit"]).config_keys
+    # The remaining keys (where the input is, where the output goes) are
+    # exercised by the config tests above.
+    io_keys = {"input", "response", "out-dir", "stable-output"}
+    assert set(keys) == set(_CONFIG_KEY_VALUES) | io_keys
+    assert all(action.option_strings == [f"--{key}"] for key, action in keys.items())
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEY_VALUES))
+def test_a_config_key_sets_what_its_flag_sets(key, example1_csv, tmp_path, capsys):
+    value = _CONFIG_KEY_VALUES[key]
+    common = ["fit", "--input", str(example1_csv), "--response", "y", "--stable-output"]
+    flag = [f"--{key}"] if value is None else [f"--{key}", value]
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{key} = {'yes' if value is None else value}\n")
+    runs = {
+        "default": common,
+        "flag": common + flag,
+        "file": common + ["--config", str(conf)],
+    }
+    reports = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+        reports[name] = (tmp_path / name / "report.json").read_text()
+    capsys.readouterr()
+    config = {name: json.loads(text)["config"] for name, text in reports.items()}
+    assert config["file"] == config["flag"] != config["default"]
+    assert reports["file"] == reports["flag"]
+
+
+def test_fit_help_names_each_flags_value_after_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for shown in (
+        "--mixture MIXTURE",
+        "--delta DELTA",
+        "--delta-mode {absolute,relative}",
+        "--max-terms MAX_TERMS",
+        "--search {exhaustive,greedy_forward}",
+        "--vif-cap VIF_CAP",
+        "--out-dir OUT_DIR",
+    ):
+        assert text.count(shown) == 2, shown  # in the usage line and the option list
+
+
 def test_cli_dict_census(example1_csv, tmp_path, capsys):
     assert main(["dict", "--input", str(example1_csv), "--response", "y"]) == 0
     census = json.loads(capsys.readouterr().out)

@@ -35,7 +35,13 @@ from parseal import (
 )
 from parseal import dictionary, screening
 from parseal.dictionary import IDENTITY, canonical_key
-from parseal.errors import AllColumnsDropped, DomainViolation, NonFinite, ZeroVariance
+from parseal.errors import (
+    AllColumnsDropped,
+    DomainViolation,
+    LengthMismatch,
+    NonFinite,
+    ZeroVariance,
+)
 from parseal.gram import GramScorer
 
 
@@ -113,6 +119,23 @@ def test_a_non_finite_row_is_rejected_and_a_view_without_it_screens():
         importance_filter(z, y, ImportanceRule("absolute", 0.0))
     result = importance_filter(z.subset([0, 2]), y, ImportanceRule("absolute", 0.0))
     assert result.dictionary.keys() == ["v0^1/1", "v2^1/1"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda z, y: importance_filter(z, y, ImportanceRule("absolute", 0.0)),
+        lambda z, y: redundancy_filter(z, y, 0.8),
+    ],
+    ids=["importance", "redundancy"],
+)
+def test_the_filters_reject_a_short_response_and_an_empty_dictionary(run):
+    z = raw_dictionary(philox(317).normal(size=(30, 3)))
+    y = philox(317, 1).normal(size=30)
+    with pytest.raises(LengthMismatch):
+        run(z, y[:-1])
+    with pytest.raises(AllColumnsDropped):
+        run(z.subset([]), y)
 
 
 def test_relative_threshold_scales_with_best_column():

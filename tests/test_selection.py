@@ -32,6 +32,7 @@ from parseal.errors import (
     InsufficientData,
     LengthMismatch,
     NoFeasibleSubset,
+    NonFinite,
     ZeroVariance,
 )
 from parseal.linalg import DesignMatrix
@@ -254,6 +255,13 @@ def test_no_feasible_subset_when_all_designs_are_degenerate():
         best_subset_search(z, y, SelectionConfig())
 
 
+def test_no_feasible_subset_in_an_empty_dictionary():
+    z = raw_dictionary(philox(412, 1).normal(size=(10, 2)))
+    y = philox(412, 2).normal(size=10)
+    with pytest.raises(NoFeasibleSubset):
+        best_subset_search(z.subset([]), y, SelectionConfig())
+
+
 def test_search_rejects_degenerate_inputs():
     z2 = raw_dictionary(philox(413).normal(size=(2, 1)))
     with pytest.raises(InsufficientData):
@@ -261,6 +269,10 @@ def test_search_rejects_degenerate_inputs():
     z = raw_dictionary(philox(413, 1).normal(size=(10, 2)))
     with pytest.raises(ZeroVariance):
         best_subset_search(z, np.full(10, 3.0), SelectionConfig())
+    y = philox(413, 2).normal(size=10)
+    y[4] = np.nan
+    with pytest.raises(NonFinite):
+        best_subset_search(z, y, SelectionConfig())
 
 
 def test_search_rejects_a_response_of_the_wrong_length():
@@ -661,6 +673,8 @@ def test_a_fit_with_a_baseline_takes_the_row_statistics_once(monkeypatch):
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(alpha=0)
+    with pytest.raises(ValueError, match="mixture_m must be >= 1"):
+        SelectionConfig(mixture_m=0)
     with pytest.raises(ValueError):
         SelectionConfig(varsigma=1.0)
     with pytest.raises(ValueError):

@@ -415,6 +415,11 @@ def test_p_value_zero_t_is_exactly_one():
     assert p_value_two_sided(0.0, 7) == 1.0
 
 
+def test_p_value_of_a_tiny_t_is_exactly_one():
+    # x = df / (df + t^2) rounds to exactly 1, so the tail is the whole mass.
+    assert p_value_two_sided(1e-200, 5) == 1.0
+
+
 def test_p_value_cauchy_quartile():
     assert p_value_two_sided(1.0, 1) == pytest.approx(0.5, abs=1e-12)
 
