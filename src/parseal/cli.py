@@ -67,6 +67,9 @@ def _read_config(path, keys: dict) -> dict:
                     raise ValueError(
                         f"{path}:{lineno}: cannot parse {value!r} for key {key!r}"
                     ) from None
+                if action.choices is not None and values[action.dest] not in action.choices:
+                    choices = ", ".join(map(repr, action.choices))
+                    raise ValueError(f"{path}:{lineno}: {key} must be one of {choices}; got {value!r}")
     return values
 
 

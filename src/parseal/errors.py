@@ -82,9 +82,10 @@ class DictionaryTooLarge(ParsealError):
 class AllColumnsDropped(ParsealError):
     """Screening removed every candidate column."""
 
-    def __init__(self, max_abs_corr: float):
+    def __init__(self, max_abs_corr: float, message: str | None = None):
         super().__init__(
-            f"importance screening dropped every column "
+            message
+            or f"importance screening dropped every column "
             f"(largest observed |correlation| with the response was {max_abs_corr:.6g})"
         )
         self.max_abs_corr = max_abs_corr

@@ -172,9 +172,9 @@ class GramScorer:
 
     ``extend`` scores a batch of subsets, each one column longer than a
     subset of a scored batch.  ``exhaustive`` drives it for the exhaustive
-    search, ``appended`` and ``grow`` for the greedy one.  Rows of C are
-    formed on demand: all of them for an exhaustive search, one per added
-    term for the greedy search.
+    search, ``appended`` and ``grow`` for the greedy one.  Rows of C are formed
+    on demand, all in one product for an exhaustive search and one per added term
+    for the greedy one.  C[a, b] is read from the row of whichever joined first.
     """
 
     def __init__(self, zr, y: np.ndarray, vif_cap: float, tss: float):
@@ -275,13 +275,6 @@ class GramScorer:
             lifted=empty,
         )
 
-    def _pairs(self, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-        """C[new_r, old_tr] from the row of ``new`` when it is formed, else of ``old``."""
-        pa, pb = self.pos[new], self.pos[old]
-        return np.where(
-            pa >= 0, self.rows[np.maximum(pa, 0), old], self.rows[np.maximum(pb, 0), new]
-        )
-
     def extend(self, prefixes: Subsets, parent, new, keep: bool = True) -> Subsets:
         """Score ``prefixes.combo(parent[r]) + (new[r],)`` for every r.
 
@@ -296,11 +289,12 @@ class GramScorer:
         factor = prefixes.factor[:, :, parent]
         inverse = prefixes.inverse[:, :, parent]
         with np.errstate(all="ignore"):
-            # The new last row of L, left-looking: L_jt = (C_jt - sum_s<t
-            # L_js L_ts) / L_tt, each sum a row of length t as in a full
-            # factorization.  A pivot that is not positive fails the subset,
-            # and its diagonal (and every later one) is set to 1.
-            cross = self._pairs(new, cols[:j])
+            # The new last row of L, left-looking: L_jt = (C_jt - sum_s<t L_js L_ts) / L_tt,
+            # each sum a row of length t as in a full factorization.  C_jt is read from
+            # prefix column t's row: ``exhaustive`` forms every row before its walk, and
+            # ``grow`` the row of each column it adds.  A pivot that is not positive fails
+            # the subset, and its diagonal (and every later one) is set to 1.
+            cross = self.rows[self.pos[cols[:j]], new]
             row = np.empty((k, m))
             for t in range(j):
                 row[t] = (cross[t] - _index_sum(row[:t] * factor[t, :t])) / factor[t, t]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import build_dictionary, canonical_key, format_term
-from .errors import ParsealError
+from .errors import EmptyMatrix, ParsealError
 from .screening import Records, screen
 from .selection import (
     SelectedModel,
@@ -338,6 +338,9 @@ def run_pipeline(
     start = time.perf_counter()
     with _stage("dictionary", timing):
         z = build_dictionary(dataset, cfg.alpha, cfg.mixture_m)
+        if len(z) == 0:
+            count = z.census.candidate_terms
+            raise EmptyMatrix(f"the dictionary kept no term: all {count} candidates are constant")
     with _stage("screening", timing):
         zr, screening_report = screen(z, dataset.response, cfg.importance, cfg.varsigma)
     with _stage("selection", timing):

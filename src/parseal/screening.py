@@ -165,12 +165,12 @@ def importance_filter(z: Dictionary, y: np.ndarray, rule: ImportanceRule) -> Imp
     Raises
     ------
     AllColumnsDropped
-        If nothing survives; carries the largest observed |correlation|.
+        If nothing is given or nothing survives; carries the largest |corr| seen.
     ZeroVariance
         If the response itself is constant.
     """
     if len(z) == 0:
-        raise AllColumnsDropped(0.0)
+        raise AllColumnsDropped(0.0, "importance screening was given no column")
     y = np.asarray(y, dtype=np.float64)
     if float(np.std(y)) == 0.0:
         raise ZeroVariance("response is constant; correlations are undefined")
@@ -211,7 +211,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     if not (0.0 < varsigma < 1.0):
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
     if len(z1) == 0:
-        raise AllColumnsDropped(0.0)
+        raise AllColumnsDropped(0.0, "redundancy screening was given no column")
     means, norms, corrs = _abs_corrs(z1, y)
     rank = np.nan_to_num(corrs, nan=-1.0).tolist()
     keys = z1.keys()

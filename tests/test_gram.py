@@ -22,15 +22,15 @@ from test_selection import _hazard_columns, philox, raw_dictionary
 
 
 def _blocks(scorer, idx):
-    """C_SS for every row of ``idx``; off-diagonal pairs need one cached row."""
+    """C_SS for every row of ``idx``: entry (r, c), r < c, from the cached row of
+    the subset's r-th column, mirrored below the diagonal."""
     m, k = idx.shape
     if k == 1:
         return np.ones((m, 1, 1))
     ia, ib = idx[:, :, None], idx[:, None, :]
-    pa, pb = scorer.pos[ia], scorer.pos[ib]
-    blocks = np.where(
-        pa >= 0, scorer.rows[np.maximum(pa, 0), ib], scorer.rows[np.maximum(pb, 0), ia]
-    )
+    blocks = scorer.rows[np.maximum(scorer.pos[ia], 0), ib]
+    upper = np.arange(k)[:, None] < np.arange(k)
+    blocks = np.where(upper, blocks, blocks.transpose(0, 2, 1))
     blocks[:, np.arange(k), np.arange(k)] = 1.0
     return blocks
 
@@ -206,6 +206,26 @@ def test_appended_columns_score_as_that_column_order(case, data):
     assert np.concatenate([b.status for b in batches]).tobytes() == expected[0].tobytes()
     assert _same_bits(np.concatenate([b.objective for b in batches]), expected[1])
     assert _same_bits(np.concatenate([b.bound for b in batches]), expected[2])
+
+
+def test_a_grown_prefix_keeps_the_bits_of_the_candidate_that_won_it():
+    """A greedy step grows the best candidate of its ``appended`` batch; ``grow``
+    reads the same C entries, so it scores the same status, objective and bound."""
+    grows = 0
+    for design in range(60):
+        rng = philox(437, design)
+        n, p = int(rng.integers(50, 2001)), int(rng.integers(5, 41))
+        columns = rng.normal(size=(n, p)) @ (np.eye(p) + 0.3 * rng.normal(size=(p, p)))
+        scorer = _scorer(columns, columns @ rng.normal(size=p) + rng.normal(size=n))
+        prefix, rest = scorer.root(), list(range(p))
+        for _ in range(min(6, p - 1)):
+            batch = next(scorer.appended(prefix, rest))
+            won = int(np.argmax(np.where(np.isfinite(batch.objective), batch.objective, -np.inf)))
+            prefix = scorer.grow(prefix, rest.pop(won))
+            grows += 1
+            for field in ("status", "objective", "bound"):
+                assert getattr(prefix, field).tobytes() == getattr(batch, field)[won].tobytes()
+    assert grows >= 300
 
 
 def _edge_peak(p, k_cap, n=1000):

@@ -787,6 +787,21 @@ def test_cli_a_csv_with_only_the_response_exits_two(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_a_csv_of_constant_inputs_exits_two_at_the_dictionary(tmp_path, capsys):
+    path = tmp_path / "constant.csv"
+    path.write_text("a,b,y\n1,2,3\n1,2,4\n1,2,6\n1,2,5\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(path), "--response", "y", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("parseal fit: error [dictionary]: ")
+    assert "constant" in err
+    assert not out.exists()
+    # The census still says what the dictionary excluded.
+    assert main(["dict", "--input", str(path), "--response", "y"]) == 0
+    assert json.loads(capsys.readouterr().out)["kept_terms"] == 0
+
+
 def test_cli_exact_fits_report_infinite_and_undefined_t(tmp_path, capsys):
     # y = 1 + 2a exactly: the standard errors come out 0 (or within rounding
     # of it), and the run must not die on an infinite t.
@@ -859,6 +874,17 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("alpha\n")
     assert main(["fit", "--config", str(cfg)]) == 1
     assert "key = value" in capsys.readouterr().err
+
+
+def test_cli_config_file_names_the_line_of_a_value_outside_a_flags_choices(tmp_path, capsys):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("input = x.csv\nresponse = y\n\nsearch = random\n")
+    assert main(["fit", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"parseal fit: error: {cfg}:4: search must be one of "
+        "'exhaustive', 'greedy_forward'; got 'random'\n"
+    )
 
 
 # Each fit flag that shapes the report's config block, with a value other than
