@@ -1,7 +1,8 @@
 """Command-line entry points: ``fit``, ``synth``, and ``dict``.
 
 Exit codes: 0 on success, 1 for usage problems, 2 when the data or the
-feasibility checks reject the run.  Flags may also be given in a flat
+feasibility checks reject the run, 141 when stdout's reader has gone (as a
+shell reports a tool that SIGPIPE ended).  Flags may also be given in a flat
 ``key = value`` config file (``--config``); explicit flags win over the file.
 """
 
@@ -10,12 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 from .data import load_csv, synth_example1, synth_example2, write_csv
 from .dictionary import build_dictionary
 from .errors import ParsealError
-from .pipeline import REPORT_FILE, TOOL_VERSION, run_pipeline, write_json
+from .pipeline import REPORT_FILE, TOOL_VERSION, _write_report, run_pipeline, write_json
 from .screening import ImportanceRule
 from .selection import SelectionConfig
 
@@ -214,8 +216,7 @@ def _cmd_dict(args) -> int:
     if args.out is None:
         write_json(z.census.to_dict(), sys.stdout)
     else:
-        with open(args.out, "w", newline="", encoding="ascii") as fh:
-            write_json(z.census.to_dict(), fh)
+        _write_report(z.census.to_dict(), args.out)
         print(f"census written to {args.out}")
     return 0
 
@@ -225,11 +226,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"fit": _cmd_fit, "synth": _cmd_synth, "dict": _cmd_dict}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except ParsealError as err:
         stage = f" [{err.stage}]" if err.stage else ""
         print(f"parseal {args.command}: error{stage}: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader has gone: exit quietly, and flush what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as err:
         print(f"parseal {args.command}: error: {err}", file=sys.stderr)
         return 2

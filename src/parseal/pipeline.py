@@ -97,105 +97,65 @@ def _screening_section(report, rule) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_CHUNK_RECORDS = 2048  # records per text of a record list; bounds the writer's memory
+_CHUNK_RECORDS = 2048  # records, or json texts, per write; bounds the writer's memory
 _ROW_SCALARS = {str: _encode_str, int: int.__repr__, float: float.__repr__}
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
-
-    It makes the calls that ``json``'s pure-Python encoder makes for each
-    value, which an indent forces ``json.dumps`` to use, but writes a list of
-    flat records -- a ``Records``, or dicts with the same str keys, such as
-    the drop records -- a column at a time: each field's texts, encoded once
-    per distinct value in a column of few distinct strs, are put between
-    the field literals and joined once per ``_CHUNK_RECORDS`` records.  A
-    ``Records`` is written as the list of dicts it stands for.
-    """
-    return "".join(_write(obj, "\n", []))
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, where a
+    ``Records`` is the list of dicts it stands for and a ``RunReport`` its fields."""
+    return "".join(_texts(obj))
 
 
 def write_json(obj, fh) -> None:
-    """Write ``json_text(obj)`` and a newline to ``fh``, flushing after each chunk of records."""
-    def flush(out: list) -> None:
-        fh.write("".join(out))
-        out.clear()
-
-    flush(_write(obj, "\n", [], flush) + ["\n"])
+    """Write ``json_text(obj)`` and a newline to ``fh``, a chunk at a time."""
+    for text in _texts(obj, "\n"):
+        fh.write(text)
 
 
-def _write(obj, nl: str, out: list, flush=None) -> list:
-    """Append ``obj``'s JSON text to ``out``, and return ``out``; ``nl`` starts its own line."""
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple, Records)) and obj:
-        chunks = _rows_text(obj, inner)
-        if chunks is not None:
-            out.append("[" + inner)
-            for chunk in chunks:
-                out.append(chunk)
-                if flush is not None:
-                    flush(out)
-        else:
-            for k, item in enumerate(obj):
-                out.append(("," if k else "[") + inner)
-                _write(item, inner, out, flush)
-        out.append(nl + "]")
-    elif isinstance(obj, dict) and obj:
-        for k, (key, value) in enumerate(obj.items()):
-            out.append(("," if k else "{") + inner + _encode_str(_key(key)) + ": ")
-            _write(value, inner, out, flush)
-        out.append(nl + "}")
-    else:
-        out.append(_text(obj))
-    return out
+def _texts(obj, end: str = ""):
+    """``json_text(obj) + end`` in chunks, written by ``json``'s encoder but for the
+    records of each ``Records`` that ``_rows_text`` passes, which ``_row_chunks`` writes.
+
+    The encoder hands such a ``Records`` to ``default``, which keeps its columns
+    and returns None; the encoder's very next text, that None's "null", is
+    replaced by the records.  The encoder's texts are joined once per ``_CHUNK_RECORDS``.
+    """
+    found = []
+
+    def default(o):
+        if isinstance(o, RunReport):
+            return {f.name: getattr(o, f.name) for f in fields(o)}
+        if not isinstance(o, Records):
+            return json.JSONEncoder.default(encoder, o)  # raises json's own TypeError
+        checked = _rows_text(o)
+        if checked is None:
+            return list(o)
+        found.append(checked)
+        return None
+
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=default)
+    out, nl = [], "\n"
+    for text in encoder.iterencode(obj):
+        if not found:
+            out.append(text)
+        if found or len(out) == _CHUNK_RECORDS:
+            head = "".join(out)
+            _, newline, line = head.rpartition("\n")  # the last line's indent starts a record list
+            nl = newline + line[:len(line) - len(line.lstrip(" "))] if newline else nl
+            out = []
+            yield head
+            if found:
+                yield from _row_chunks(*found.pop(), nl)
+    out.append(end)
+    yield "".join(out)
 
 
-def _text(obj) -> str:
-    """The JSON text of a scalar, or of an empty list or dict."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    if isinstance(obj, (list, tuple, Records, dict)):
-        return "{}" if isinstance(obj, dict) else "[]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key(key) -> str:
-    """A dict key as ``json`` coerces it to str."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _rows_text(items, nl: str):
-    """The items of a list of flat records, a ``Records`` or dicts with the same str
-    keys in the same order, as texts of ``_CHUNK_RECORDS`` items, when each field's values
-    are all strs, all ints, or finite floats and Nones (all checked first); else None."""
-    if isinstance(items, Records):
-        names, columns = items.names, items.columns
-    else:
-        first = items[0]
-        if set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}:
-            return None
-        if set(map(tuple, items)) != {tuple(first)}:
-            return None
-        names = tuple(first)
-        columns = [[row[key] for row in items] for key in first]
+def _rows_text(records: Records):
+    """``_row_chunks``' keys, columns and writes for a non-empty ``Records`` whose every
+    field holds all strs, all ints, or finite floats and Nones; else None."""
     writes = []
-    for column in columns:
+    for column in records.columns:
         kinds = set(map(type, column))
         if kinds <= {float, type(None)} and type(None) in kinds:
             # None, written null, stands for an undefined float such as a
@@ -211,27 +171,29 @@ def _rows_text(items, nl: str):
                 # A column of few distinct strs, such as the reasons, encodes each once.
                 write = {v: _encode_str(v) for v in set(column)}.__getitem__
         writes.append(write)
-    return _row_chunks([_encode_str(name) + ": " for name in names], columns, writes, nl)
+    return [_encode_str(name) + ": " for name in records.names], records.columns, writes
 
 
 def _row_chunks(keys: list, columns, writes: list, nl: str):
-    """``_rows_text``'s texts; a ``writes`` entry of None writes a float column's Nones as null."""
+    """A list of records, after a line that ``nl`` starts, in texts of ``_CHUNK_RECORDS``
+    records; a ``writes`` entry of None writes a float column's Nones as null."""
     count = len(columns[0])
     width = 2 * len(keys)
-    inner = nl + "  "
+    item = nl + "  "
+    inner = item + "  "
     for start in range(0, count, _CHUNK_RECORDS):
         size = min(_CHUNK_RECORDS, count - start)
         # Record r's field j is parts[r * width + 2 j + 1], after its key; the
         # first key of each record but the list's first also closes the one before.
-        parts = [nl + "}," + nl + "{" + inner + keys[0]] * (size * width + 1)
+        parts = [item + "}," + item + "{" + inner + keys[0]] * (size * width + 1)
         for j, (column, write) in enumerate(zip(columns, writes)):
             vals = column[start:start + size]
             if j:
                 parts[2 * j::width] = ["," + inner + keys[j]] * size
             texts = map(write, vals) if write else ["null" if v is None else repr(v) for v in vals]
             parts[2 * j + 1::width] = texts
-        parts[0] = parts[0] if start else "{" + inner + keys[0]
-        parts[-1] = nl + "}" if start + size == count else ""
+        parts[0] = parts[0] if start else "[" + item + "{" + inner + keys[0]
+        parts[-1] = item + "}" + nl + "]" if start + size == count else ""
         yield "".join(parts)
 
 
@@ -255,8 +217,7 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"screening": screening}
 
     def to_json(self) -> str:
-        pieces = _write({f.name: getattr(self, f.name) for f in fields(self)}, "\n", [])
-        return "".join(pieces + ["\n"])
+        return "".join(_texts(self, "\n"))
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -264,12 +225,12 @@ class RunReport:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-def _write_report(report: RunReport, path) -> None:
-    """``write_json`` the report to ``path + ".tmp"``, and move it to ``path`` once it is whole."""
+def _write_report(obj, path) -> None:
+    """``write_json`` ``obj`` to ``path + ".tmp"``, and move it to ``path`` once it is whole."""
     temporary = f"{path}.tmp"
     try:
         with open(temporary, "w", newline="", encoding="ascii") as fh:
-            write_json({f.name: getattr(report, f.name) for f in fields(report)}, fh)
+            write_json(obj, fh)
         os.replace(temporary, path)
     except BaseException:
         with suppress(FileNotFoundError):

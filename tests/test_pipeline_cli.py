@@ -1,5 +1,6 @@
 """Run reports, output files, and the command-line interface."""
 
+import errno
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from parseal import (
 from parseal.cli import main
 from parseal.dictionary import build_dictionary
 from parseal.errors import NonFinite, ParsealError
-from parseal import pipeline
+from parseal import cli, pipeline
 from parseal.pipeline import json_text
 from parseal.screening import Records, screen
 from parseal.selection import baseline_best_subset, best_subset_search
@@ -349,6 +350,16 @@ def test_json_text_raises_the_exception_json_dumps_raises(bad):
             json_text(obj)
 
 
+def test_a_self_containing_list_raises_the_value_error_json_dumps_raises():
+    loop = [1.5]
+    loop.append({"again": loop})
+    with pytest.raises(ValueError) as dumps_error:
+        json.dumps(loop, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as error:
+        json_text(loop)
+    assert str(error.value) == str(dumps_error.value)
+
+
 @pytest.mark.parametrize("nulls", ["one", "several", "all"])
 def test_a_float_column_with_nulls_is_written_from_the_template(nulls):
     drops = [
@@ -362,12 +373,17 @@ def test_a_float_column_with_nulls_is_written_from_the_template(nulls):
         drops[i].update(abs_corr=None, reason="non_finite_correlation")
     obj = {"dropped_unimportant": drops}
     assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
-    # The whole list takes the one-template path, not the per-item one.
-    assert pipeline._rows_text(drops, "\n    ") is not None
+    # The importance drop log is a Records, which takes the template whole.
+    names = ("term", "abs_corr", "reason")
+    records = Records(names, *([row[key] for row in drops] for key in names))
+    assert pipeline._rows_text(records) is not None
+    assert json_text({"dropped_unimportant": records}) == json_text(obj)
     for bad in (math.nan, math.inf):
         drops[5]["abs_corr"] = bad
-        with pytest.raises(ValueError):
-            json_text(obj)
+        records.columns[1][5] = bad
+        for log in (drops, records):
+            with pytest.raises(ValueError):
+                json_text({"dropped_unimportant": log})
 
 
 def test_report_bytes_are_json_dumps_bytes(tmp_path):
@@ -442,12 +458,18 @@ def test_write_json_writes_a_chunk_of_records_at_a_time(monkeypatch):
     monkeypatch.setattr(pipeline, "_CHUNK_RECORDS", 2)
     writes = []
     sink = mock.Mock(write=writes.append)
-    rows = [{"term": f"t{i}", "abs_corr": None if i % 3 else i / 7} for i in range(7)]
+    corrs = [None if i % 3 else i / 7 for i in range(7)]
+    rows = Records(("term", "abs_corr"), [f"t{i}" for i in range(7)], corrs)
     obj = {"kept": ["a"], "dropped": rows, "also": Records(("term",), ["u", "v", "w"])}
     pipeline.write_json(obj, sink)
     assert "".join(writes) == json.dumps(obj, indent=2, default=list) + "\n"
-    # Four chunks of the seven rows, two of the three records, then the rest.
-    assert len(writes) == 4 + 2 + 1
+    # json's own texts, with each Records as one "null": each run of them
+    # between two Records is written two at a time, then what is left of it;
+    # each Records is written two records at a time.
+    texts = list(json.JSONEncoder(indent=2, default=lambda records: None).iterencode(obj))
+    cuts = [-1] + [i for i, text in enumerate(texts) if text == "null"] + [len(texts)]
+    runs = [after - before - 1 for before, after in zip(cuts, cuts[1:])]
+    assert len(writes) == sum(run // 2 + 1 for run in runs) + 4 + 2
     assert all(text.count('"term"') <= 2 for text in writes)
 
 
@@ -522,6 +544,52 @@ def example1_csv(tmp_path):
     path = tmp_path / "ex1.csv"
     assert main(["synth", "--example", "1", "--n", "200", "--seed", "0", "--out", str(path)]) == 0
     return path
+
+
+def test_a_failed_census_write_leaves_the_out_file_as_it_was(
+    example1_csv, tmp_path, monkeypatch, capsys
+):
+    argv = ["dict", "--input", str(example1_csv), "--response", "y", "--out"]
+    earlier = tmp_path / "earlier.json"
+    assert main(argv + [str(earlier)]) == 0
+    before = earlier.read_bytes()
+
+    def fills_the_disk(obj, fh):
+        fh.write(json_text(obj)[:100])  # a part of the census is written first
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "write_json", fills_the_disk)
+    for path in (tmp_path / "fresh.json", earlier):
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"parseal dict: error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["earlier.json", "ex1.csv"]
+    assert earlier.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["dict", "fit"])
+def test_a_closed_stdout_exits_141_and_prints_nothing(command, example1_csv, tmp_path):
+    argv = [command, "--input", str(example1_csv), "--response", "y"]
+    if command == "fit":
+        assert main(argv + ["--stable-output", "--out-dir", str(tmp_path / "normal")]) == 0
+        argv += ["--stable-output", "--out-dir", str(tmp_path / "piped")]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "parseal.cli", *argv], stdout=write, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, b"")
+    if command == "fit":
+        def files(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        assert len(files(tmp_path / "piped")) == 3
+        assert files(tmp_path / "piped") == files(tmp_path / "normal")
 
 
 def test_cli_synth_reproduces_the_generator(tmp_path):
