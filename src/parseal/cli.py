@@ -17,7 +17,7 @@ import sys
 from .data import load_csv, synth_example1, synth_example2, write_csv
 from .dictionary import build_dictionary
 from .errors import ParsealError
-from .pipeline import REPORT_FILE, TOOL_VERSION, _write_report, run_pipeline, write_json
+from .pipeline import REPORT_FILE, TOOL_VERSION, _write_files, run_pipeline, write_json
 from .screening import ImportanceRule
 from .selection import SelectionConfig
 
@@ -216,7 +216,7 @@ def _cmd_dict(args) -> int:
     if args.out is None:
         write_json(z.census.to_dict(), sys.stdout)
     else:
-        _write_report(z.census.to_dict(), args.out)
+        _write_files([(args.out, z.census.to_dict())])
         print(f"census written to {args.out}")
     return 0
 

@@ -91,19 +91,6 @@ class TermExpr:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "key", "*".join(_factor_key(f) for f in factors))
 
-    @classmethod
-    def _of_sorted(cls, factors: tuple, key: str) -> "TermExpr":
-        """A term from factors already sorted by distinct variable index.
-
-        A dictionary makes its terms from the builder's factors, enumerated
-        that way, and keys it has already joined, so it skips the sort, the
-        checks and the rendering ``__post_init__`` would repeat for each.
-        """
-        term = object.__new__(cls)
-        object.__setattr__(term, "factors", factors)
-        object.__setattr__(term, "key", key)
-        return term
-
     @property
     def variables(self) -> tuple:
         return tuple(f.variable_index for f in self.factors)
@@ -294,8 +281,7 @@ class Dictionary:
     def terms(self) -> tuple:
         """The ``TermExpr`` of every term, made the first time they are read."""
         if self._terms is None:
-            rows = zip(self._recipe.tolist(), self._keys)
-            self._terms = tuple(_term(self._factors, row, key) for row, key in rows)
+            self._terms = tuple(_term(self._factors, row) for row in self._recipe.tolist())
         return self._terms
 
     def keys(self) -> list:
@@ -348,9 +334,9 @@ class Dictionary:
         return _form(self._factor_rows, self._recipe[np.asarray(indices, dtype=np.intp)])
 
 
-def _term(factors, row, key: str) -> TermExpr:
+def _term(factors, row) -> TermExpr:
     """The term whose factor-row indices are ``row``; indices past ``factors`` are padding."""
-    return TermExpr._of_sorted(tuple(factors[j] for j in row if j < len(factors)), key)
+    return TermExpr(tuple(factors[j] for j in row if j < len(factors)))
 
 
 def _form(factor_rows: np.ndarray, recipe: np.ndarray) -> np.ndarray:
@@ -617,7 +603,7 @@ def build_dictionary(
         if bad.any():
             # Raises the error of the lowest-keyed non-finite term.
             i = unclear[start + np.argmax(bad)]
-            evaluate_term(_term(factors, recipe[i].tolist(), keys[i]), columns)
+            evaluate_term(_term(factors, recipe[i].tolist()), columns)
         constant[unclear[start:start + len(block)]] = _is_constant(block)
 
     kept = np.flatnonzero(~constant)

@@ -129,14 +129,11 @@ def _index_sum(terms: np.ndarray) -> np.ndarray:
     the same bits whatever its batch's shape.  numpy reduces axis 0 of a
     C-ordered array in index order, one whole-array add per term, when
     another axis is longer than 1; when none is, axis 0 is the array's only
-    axis, which numpy would sum pairwise, so the terms are added in a loop.
+    axis, which numpy would sum pairwise, so accumulate's last partial sum is taken.
     """
     if len(terms) == 0 or terms[0].size > 1:
         return np.add.reduce(terms, axis=0)
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return total
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _grown(triangle: np.ndarray, row: np.ndarray) -> np.ndarray:

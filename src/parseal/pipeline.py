@@ -9,12 +9,13 @@ byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -225,26 +226,33 @@ class RunReport:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-def _write_report(obj, path) -> None:
-    """``write_json`` ``obj`` to ``path + ".tmp"``, and move it to ``path`` once it is whole."""
-    temporary = f"{path}.tmp"
+def _write_files(files, out_dir="") -> None:
+    """Write every (name, content) of ``files`` in ``out_dir`` whole, or leave each as it was.
+
+    A str content is written as it is, and any other by ``write_json``; each
+    goes to ``name + ".tmp"`` in turn, and once the last is whole, each is
+    moved to its name.  A write that fails removes every ``.tmp``.
+    """
+    paths = []
     try:
-        with open(temporary, "w", newline="", encoding="ascii") as fh:
-            write_json(obj, fh)
-        os.replace(temporary, path)
+        for name, content in files:
+            paths.append(os.path.join(out_dir, name))
+            with open(f"{paths[-1]}.tmp", "w", newline="", encoding="ascii") as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    write_json(content, fh)
+        for path in paths:
+            os.replace(f"{path}.tmp", path)
     except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(temporary)
+        for path in paths:
+            with suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
         raise
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(text)
-
-
-def _write_companion_csvs(out_dir, tag: str, observed, observed_texts: list, fitted) -> None:
-    """Write one model's residual and Bland-Altman CSVs.
+def _companion_csvs(tag: str, observed, observed_texts: list, fitted):
+    """One model's residual and Bland-Altman CSVs, as (name, text) pairs.
 
     ``observed_texts`` are ``observed``'s reprs.  The difference
     fitted - observed is the residual observed - fitted negated exactly
@@ -260,14 +268,12 @@ def _write_companion_csvs(out_dir, tag: str, observed, observed_texts: list, fit
     parts[2::6] = map(float.__repr__, fitted.tolist())
     parts[3::6] = map(signed, np.signbit(residual).tolist())
     parts[4::6] = magnitudes
-    text = "observed,fitted,residual\n" + "".join(parts)
-    _write_text(os.path.join(out_dir, f"residuals_{tag}.csv"), text)
+    yield f"residuals_{tag}.csv", "observed,fitted,residual\n" + "".join(parts)
     parts = ["", "", "", "\n"] * len(magnitudes)
     parts[0::4] = map(float.__repr__, (0.5 * (fitted + observed)).tolist())
     parts[1::4] = map(signed, np.signbit(fitted - observed).tolist())
     parts[2::4] = magnitudes
-    text = "mean,difference\n" + "".join(parts)
-    _write_text(os.path.join(out_dir, f"bland_altman_{tag}.csv"), text)
+    yield f"bland_altman_{tag}.csv", "mean,difference\n" + "".join(parts)
 
 
 def run_pipeline(
@@ -315,27 +321,16 @@ def run_pipeline(
             baseline = baseline_best_subset(z, dataset.response, cfg)
     timing["total_s"] = time.perf_counter() - start
 
-    config_echo = {
-        "alpha": cfg.alpha,
-        "mixture_m": cfg.mixture_m,
-        "importance": {"mode": cfg.importance.mode, "value": float(cfg.importance.value)},
-        "varsigma": float(cfg.varsigma),
-        "vif_cap": float(cfg.vif_cap),
-        "max_subset_size": cfg.max_subset_size,
-        "search_budget": cfg.search_budget,
-        "search_mode": cfg.search_mode,
-        "seed": cfg.seed,
-        "with_baseline": bool(with_baseline),
-        "n": dataset.n,
-        "variable_names": list(dataset.variable_names),
-        "response_name": dataset.response_name,
-    }
-
     report = RunReport(
         schema_version=SCHEMA_VERSION,
         tool=TOOL_NAME,
         version=TOOL_VERSION,
-        config=config_echo,
+        config=asdict(cfg) | {
+            "with_baseline": bool(with_baseline),
+            "n": dataset.n,
+            "variable_names": list(dataset.variable_names),
+            "response_name": dataset.response_name,
+        },
         dictionary=z.census.to_dict(),
         screening=_screening_section(screening_report, cfg.importance),
         selected_model=_model_section(model, dataset.variable_names, cfg.search_mode),
@@ -347,12 +342,10 @@ def run_pipeline(
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_report(report, os.path.join(out_dir, REPORT_FILE))
-        observed = dataset.response
-        texts = list(map(float.__repr__, observed.tolist()))
-        for tag, fitted_model in (("parseal", model), ("baseline", baseline)):
-            if fitted_model is not None:
-                fitted = observed - fitted_model.fit.residuals
-                _write_companion_csvs(out_dir, tag, observed, texts, fitted)
+        y = dataset.response
+        texts = list(map(float.__repr__, y.tolist()))
+        models = (("parseal", model), ("baseline", baseline))
+        csvs = [_companion_csvs(tag, y, texts, y - m.fit.residuals) for tag, m in models if m]
+        _write_files(itertools.chain([(REPORT_FILE, report)], *csvs), out_dir)
 
     return report

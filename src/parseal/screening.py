@@ -48,6 +48,7 @@ class ImportanceRule:
             raise ValueError(f"mode must be 'absolute' or 'relative', got {self.mode!r}")
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"importance value must lie in [0, 1], got {self.value}")
+        object.__setattr__(self, "value", float(self.value))
 
 
 class Records:
@@ -207,11 +208,18 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
     nothing.  Each drop records the kept column that eliminated it, with the
     exact |corr| of ``pearson_correlation``.  The returned dictionary lists
     survivors in their original order.
+
+    Raises
+    ------
+    ZeroVariance
+        If the response itself is constant.
     """
     if not (0.0 < varsigma < 1.0):
         raise ValueError(f"varsigma must lie in (0, 1), got {varsigma}")
     if len(z1) == 0:
         raise AllColumnsDropped(0.0, "redundancy screening was given no column")
+    if float(np.std(y)) == 0.0:
+        raise ZeroVariance("response is constant; correlations are undefined")
     means, norms, corrs = _abs_corrs(z1, y)
     rank = np.nan_to_num(corrs, nan=-1.0).tolist()
     keys = z1.keys()
@@ -234,7 +242,7 @@ def redundancy_filter(z1: Dictionary, y: np.ndarray, varsigma: float) -> Redunda
             kept_rows.resize((t + len(block), z1.n), refcheck=False)
             np.subtract(block, means[swept][:, None], out=kept_rows[t:])
             # |corr| of each candidate with every kept row and every row of its
-            # block, from one stacked matrix-vector product; ROADMAP item 3 says why no GEMM.
+            # block, from one stacked matrix-vector product; ROADMAP item 4 says why no GEMM.
             scores = np.abs(kept_rows[t:, None] @ kept_rows.T)[:, 0]
             scores /= fast_norms[swept][:, None] * fast_norms[kept + swept]
             # Uncertified pairs: a candidate's with earlier rows, in order, and in-block.

@@ -88,6 +88,8 @@ class SelectionConfig:
             raise ValueError(
                 f"search_mode must be 'exhaustive' or 'greedy_forward', got {self.search_mode!r}"
             )
+        object.__setattr__(self, "varsigma", float(self.varsigma))
+        object.__setattr__(self, "vif_cap", float(self.vif_cap))
 
 
 @dataclass(frozen=True)

@@ -1026,8 +1026,6 @@ def test_a_fit_makes_no_object_per_dropped_term(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    of_sorted = counting("terms", TermExpr._of_sorted)
-    monkeypatch.setattr(TermExpr, "_of_sorted", classmethod(lambda cls, f, k: of_sorted(f, k)))
     monkeypatch.setattr(TermExpr, "__post_init__", counting("terms", TermExpr.__post_init__))
     for method in ("__iter__", "__getitem__"):
         read = counting("records_read", getattr(pipeline.Records, method))

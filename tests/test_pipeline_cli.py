@@ -1,5 +1,6 @@
 """Run reports, output files, and the command-line interface."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -189,7 +190,7 @@ def _observed_and_fitted(draw):
 def test_companion_csvs_match_the_row_by_row_oracle(tmp_path, drawn):
     observed, fitted = drawn
     texts = list(map(float.__repr__, observed.tolist()))
-    pipeline._write_companion_csvs(tmp_path, "drawn", observed, texts, fitted)
+    pipeline._write_files(pipeline._companion_csvs("drawn", observed, texts, fitted), tmp_path)
     _assert_companions_match_the_oracle(tmp_path, "drawn", observed, fitted)
 
 
@@ -215,7 +216,8 @@ def test_companion_csvs_reject_a_non_finite_fitted_value(tmp_path):
     for bad in (np.nan, np.inf, -np.inf):
         fitted = np.array([1.0, bad, 3.0])
         with pytest.raises(NonFinite, match="fitted contains NaN or infinite entries"):
-            pipeline._write_companion_csvs(tmp_path, "bad", observed, ["1.0", "2.0", "3.0"], fitted)
+            csvs = pipeline._companion_csvs("bad", observed, ["1.0", "2.0", "3.0"], fitted)
+            pipeline._write_files(csvs, tmp_path)
 
 
 def test_stable_reports_are_byte_identical(tmp_path):
@@ -227,6 +229,29 @@ def test_stable_reports_are_byte_identical(tmp_path):
     assert sorted(os.listdir(a)) == sorted(os.listdir(b))
     for name in os.listdir(a):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_the_config_block_is_the_config_fields_with_floats_as_floats(tmp_path):
+    ds = synth_example1(150, seed=5)
+    floats = SelectionConfig(importance=ImportanceRule("absolute", 0.0), varsigma=0.5, vif_cap=10.0)
+    run_pipeline(ds, floats, out_dir=tmp_path / "floats", stable=True)
+    want = (tmp_path / "floats" / "report.json").read_bytes()
+    given = {
+        "int_vif_cap": dataclasses.replace(floats, vif_cap=10),
+        "int_importance": dataclasses.replace(floats, importance=ImportanceRule("absolute", 0)),
+        "numpy_floats": dataclasses.replace(
+            floats,
+            importance=ImportanceRule("absolute", np.float64(0.0)),
+            varsigma=np.float64(0.5),
+            vif_cap=np.float64(10.0),
+        ),
+    }
+    for name, cfg in given.items():
+        report = run_pipeline(ds, cfg, out_dir=tmp_path / name, stable=True)
+        assert (tmp_path / name / "report.json").read_bytes() == want, name
+    names = [f.name for f in dataclasses.fields(SelectionConfig)]
+    assert list(report.config) == names + ["with_baseline", "n", "variable_names", "response_name"]
+    assert report.config["importance"] == {"mode": "absolute", "value": 0.0}
 
 
 def test_pipeline_errors_carry_their_stage():
@@ -479,7 +504,7 @@ def test_writing_a_dict_heavy_report_holds_no_whole_text(tmp_path):
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
-        pipeline._write_report(report, path)
+        pipeline._write_files([(path, report)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,6 +532,49 @@ def test_a_failed_report_write_leaves_the_out_dir_as_it_was(tmp_path, monkeypatc
         with pytest.raises(ValueError) as error:
             run_pipeline(ds, cfg, with_baseline=True, out_dir=out_dir, stable=True)
         assert str(error.value).startswith(str(dumps_error.value).split(":")[0])
+    assert os.listdir(tmp_path / "fresh") == []
+    assert {name: (earlier / name).read_bytes() for name in os.listdir(earlier)} == before
+
+
+@pytest.mark.parametrize("failing", [
+    "residuals_parseal.csv",
+    "bland_altman_parseal.csv",
+    "residuals_baseline.csv",
+    "bland_altman_baseline.csv",
+])
+def test_a_failed_csv_write_leaves_the_out_dir_as_it_was(failing, tmp_path, monkeypatch):
+    cfg = SelectionConfig(varsigma=0.5)
+    earlier = tmp_path / "earlier"
+    run_pipeline(synth_example1(200, seed=6), cfg, with_baseline=True, out_dir=earlier, stable=True)
+    before = {name: (earlier / name).read_bytes() for name in os.listdir(earlier)}
+
+    class FullDisk:
+        """A file that takes the first 100 bytes of a write, then fails as a full disk does."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def opens(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FullDisk(fh) if os.path.basename(path).startswith(failing) else fh
+
+    monkeypatch.setattr(pipeline, "open", opens, raising=False)
+    other = synth_example1(200, seed=7)
+    for out_dir in (tmp_path / "fresh", earlier):
+        with pytest.raises(OSError) as error:
+            run_pipeline(other, cfg, with_baseline=True, out_dir=out_dir, stable=True)
+        assert error.value.errno == errno.ENOSPC
+    # No file was replaced or cut, and no .tmp is left.
     assert os.listdir(tmp_path / "fresh") == []
     assert {name: (earlier / name).read_bytes() for name in os.listdir(earlier)} == before
 

@@ -168,6 +168,20 @@ def test_constant_response_is_rejected():
         importance_filter(z, np.full(30, 7.0), ImportanceRule("absolute", 0.1))
 
 
+def test_every_stage_rejects_a_constant_response():
+    z = raw_dictionary(philox(305, 2).uniform(size=(50, 4)))
+    y = np.full(50, 3.0)
+    formed = AssertionError("a row was formed for a constant response")
+    with mock.patch.object(Dictionary, "row_statistics", side_effect=formed):
+        with pytest.raises(ZeroVariance, match="response is constant"):
+            redundancy_filter(z, y, 0.8)
+    with pytest.raises(ZeroVariance):
+        importance_filter(z, y, ImportanceRule("absolute", 0.1))
+    for search in (best_subset_search, greedy_forward_search):
+        with pytest.raises(ZeroVariance):
+            search(z, y, SelectionConfig(max_subset_size=2))
+
+
 def test_constant_dictionary_column_dropped_with_reason():
     cols = np.column_stack([philox(306).normal(size=30), np.full(30, 2.0)])
     z = raw_dictionary(cols)
